@@ -15,7 +15,8 @@ from .lorenz import (
     Trajectory,
     VqlsConfig,
     build_nonlinear_system,
-    step_explicit,
+    march,
+    step_explicit,  # unused here; bench/spans.py hooks this name
     step_solve,
 )
 
@@ -72,14 +73,6 @@ def compare_trajectories(classical: Trajectory, quantum: Trajectory) -> ErrorSer
     )
 
 
-def _step(state, params, h, solver, vqls_config, theta_init):
-    if solver == "explicit":
-        return step_explicit(state, params, h), None
-    return step_solve(
-        state, params, h, solver=solver, vqls_config=vqls_config, theta_init=theta_init
-    )
-
-
 def _estimate(common: State3, fine2: State3, coarse: State3, h: float):
     # Gradients over the shared 2h span.  A single step from the common point
     # would reproduce the instantaneous derivative exactly and make the
@@ -100,10 +93,7 @@ def richardson(
     vqls_config: VqlsConfig | None = None,
 ) -> RichardsonEstimate:
     """Leading step-size error at one point: two h-steps vs one 2h-step."""
-    fine1, _ = _step(state, params, h, solver, vqls_config, None)
-    fine2, _ = _step(fine1, params, h, solver, vqls_config, None)
-    coarse, _ = _step(state, params, 2 * h, solver, vqls_config, None)
-    return _estimate(state, fine2, coarse, h)
+    return richardson_series(state, params, h, 1, solver, vqls_config, warm_start=False)[0]
 
 
 def richardson_series(
@@ -115,22 +105,21 @@ def richardson_series(
     vqls_config: VqlsConfig | None = None,
     warm_start: bool = True,
 ) -> list[RichardsonEstimate]:
-    """Per-point estimates along a base trajectory advanced by the fine path."""
+    """Per-point estimates along a base trajectory advanced by the fine path.
+
+    Point n pairs fine states n and n + 2 with one 2h-step from point n,
+    which starts from the same angles as fine step n + 1.  A state past the
+    overflow guard raises OverflowError.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    estimates = []
-    current = start
-    theta = None
-    for _ in range(steps):
-        init = theta if warm_start else None
-        fine1, out1 = _step(current, params, h, solver, vqls_config, init)
-        theta1 = out1.theta_opt if out1 is not None else init
-        fine2, _ = _step(fine1, params, h, solver, vqls_config, theta1)
-        coarse, _ = _step(current, params, 2 * h, solver, vqls_config, init)
-        estimates.append(_estimate(current, fine2, coarse, h))
-        current = fine1
-        if out1 is not None:
-            theta = out1.theta_opt
+    fine = march(start, params, h, steps + 1, solver, vqls_config, warm_start)
+    theta_init, fine1, _ = next(fine)
+    point, estimates = start, []
+    for next_init, fine2, _ in fine:
+        coarse, _ = step_solve(point, params, 2 * h, solver, vqls_config, theta_init)
+        estimates.append(_estimate(point, fine2, coarse, h))
+        point, fine1, theta_init = fine1, fine2, next_init
     return estimates
 
 

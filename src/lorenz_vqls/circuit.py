@@ -158,5 +158,6 @@ def expectation(state, hamiltonian: PauliSum) -> float:
             f"state length {state.shape} does not match {hamiltonian.qubit_count} qubit(s)"
         )
     value = np.vdot(state, hamiltonian.apply(state))
-    assert not hamiltonian.is_hermitian or abs(value.imag) <= 1e-10
+    if hamiltonian.is_hermitian and abs(value.imag) > 1e-10:
+        raise ValueError(f"Hermitian expectation has imaginary part {value.imag:.3g}")
     return float(value.real)

@@ -17,6 +17,7 @@ from .analysis import compare_trajectories, condition_sweep, richardson_series
 from .errors import DivergedAt, NotPowerOfTwo
 from .linalg import pad_to_power_of_two
 from .lorenz import (
+    SOLVERS,
     LorenzParams,
     State3,
     Trajectory,
@@ -143,7 +144,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h", type=float)
     parser.add_argument("--steps", type=int)
     parser.add_argument("--start", metavar="X,Y,Z")
-    parser.add_argument("--solver", choices=["explicit", "direct", "vqls"])
+    parser.add_argument("--solver", choices=SOLVERS)
     parser.add_argument("--layers", type=int)
     parser.add_argument("--max-iter", type=int)
     parser.add_argument("--tol", type=float)
@@ -326,7 +327,6 @@ def cmd_simulate(opts: dict) -> int:
 def cmd_compare(opts: dict) -> int:
     out = _require_out(opts)
     second_solver = "direct" if opts["self-compare"] else "vqls"
-    diverged_at = None
     try:
         reference = _run_trajectory(opts, "direct")
         other = _run_trajectory(opts, second_solver)
@@ -364,7 +364,7 @@ def cmd_compare(opts: dict) -> int:
             "max_rel_err": float(np.max(series.values)),
             "rows": len(reference),
             "out": out,
-            "diverged_at": diverged_at,
+            "diverged_at": None,
         }
     )
     return EXIT_OK
@@ -380,6 +380,7 @@ def cmd_richardson(opts: dict) -> int:
     vqls_cfg = _vqls_config(opts) if solver == "vqls" else None
     lines = ["step,h,e_x,e_y,e_z,total"]
     means = {}
+    summary = {"command": "richardson", "mean_total": means, "out": out}
     for h in opts["h-list"]:
         try:
             series = richardson_series(
@@ -389,6 +390,11 @@ def cmd_richardson(opts: dict) -> int:
             )
         except ValueError as exc:
             raise CliError(str(exc)) from None
+        except OverflowError:
+            # keep the rows of the h values that finished, mark, exit 2
+            lines.append(f"# diverged at h {fmt(h)}")
+            summary["diverged_at_h"] = h
+            break
         for n, est in enumerate(series):
             lines.append(
                 ",".join(
@@ -397,8 +403,8 @@ def cmd_richardson(opts: dict) -> int:
             )
         means[repr(float(h))] = float(np.mean([est.total for est in series]))
     _write_lines(out, lines)
-    _summary({"command": "richardson", "mean_total": means, "out": out})
-    return EXIT_OK
+    _summary(summary)
+    return EXIT_DIVERGED if "diverged_at_h" in summary else EXIT_OK
 
 
 def cmd_cond_sweep(opts: dict) -> int:

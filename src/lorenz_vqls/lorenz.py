@@ -7,6 +7,7 @@ are known current-state quantities, so the per-step system stays linear.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -165,12 +166,17 @@ def step_solve(
     vqls_config: VqlsConfig | None = None,
     theta_init=None,
 ) -> tuple[State3, VqlsOutcome | None]:
-    """Advance one step by solving the 8x8 embedding.
+    """Advance one step with `solver`, one of SOLVERS.
 
-    The origin is a fixed point and has a zero right-hand side, so it is
-    returned unchanged without a solve.  Returns the next state plus the
-    solver outcome (None for the direct solver and the origin shortcut).
+    "explicit" evaluates the forward-Euler update.  "direct" and "vqls"
+    solve the 8x8 embedding, except at the origin: a fixed point with a
+    zero right-hand side, returned unchanged.  Returns the next state plus
+    the VQLS outcome (None otherwise).
     """
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
+    if solver == "explicit":
+        return step_explicit(state, params, h), None
     h = _check_h(h)
     if state.x == 0.0 and state.y == 0.0 and state.z == 0.0:
         return state, None
@@ -179,14 +185,35 @@ def step_solve(
     if solver == "direct":
         w = solve_dense(matrix, rhs)
         outcome = None
-    elif solver == "vqls":
+    else:
         problem = build_problem(matrix, rhs)
         outcome = optimize(problem, vqls_config or VqlsConfig(), theta_init=theta_init)
         w = outcome.solution
-    else:
-        raise ValueError(f"unknown solver {solver!r} (expected 'direct' or 'vqls')")
     x, y, z = np.real(w[3:6])
     return _guarded(float(x), float(y), float(z)), outcome
+
+
+def march(
+    start: State3,
+    params: LorenzParams,
+    h: float,
+    steps: int,
+    solver: str = "direct",
+    vqls_config: VqlsConfig | None = None,
+    warm_start: bool = True,
+) -> Iterator[tuple[np.ndarray | None, State3, VqlsOutcome | None]]:
+    """Yield (theta_init, next state, outcome) for each of `steps` steps.
+
+    `theta_init` is what the step's restart 0 started from: with
+    `warm_start`, the optimized angles of the latest variational solve,
+    otherwise None.  A step past the overflow guard raises OverflowError.
+    """
+    theta, state = None, start
+    for _ in range(steps):
+        state, outcome = step_solve(state, params, h, solver, vqls_config, theta)
+        yield theta, state, outcome
+        if warm_start and outcome is not None:
+            theta = outcome.theta_opt
 
 
 def trajectory(
@@ -204,57 +231,25 @@ def trajectory(
     previous step's optimized angles.  Raises DivergedAt (carrying the
     partial trajectory) when a step exceeds the overflow guard.
     """
-    _check_h(h)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
-    states = [start.as_array()]
-    diagnostics = [] if solver == "vqls" else None
-    theta = None
-    current = start
-    for n in range(1, steps + 1):
-        try:
-            if solver == "explicit":
-                current = step_explicit(current, params, h)
-            else:
-                current, outcome = step_solve(
-                    current,
-                    params,
-                    h,
-                    solver=solver,
-                    vqls_config=vqls_config,
-                    theta_init=theta if warm_start else None,
+    states, diagnostics, diverged = [start.as_array()], [], False
+    try:
+        for _, state, out in march(start, params, h, steps, solver, vqls_config, warm_start):
+            states.append(state.as_array())
+            if solver == "vqls":  # zeros where the origin shortcut solved nothing
+                diagnostics.append(
+                    StepDiagnostics(0.0, 0, 0.0) if out is None
+                    else StepDiagnostics(out.final_cost, out.iterations_used, out.residual)
                 )
-                if solver == "vqls":
-                    if outcome is None:  # origin fixed point, nothing solved
-                        diagnostics.append(StepDiagnostics(0.0, 0, 0.0))
-                    else:
-                        diagnostics.append(
-                            StepDiagnostics(
-                                outcome.final_cost,
-                                outcome.iterations_used,
-                                outcome.residual,
-                            )
-                        )
-                        theta = outcome.theta_opt
-        except OverflowError:
-            partial = Trajectory(
-                params=params,
-                h=h,
-                states=np.array(states),
-                solver=solver,
-                diagnostics=tuple(diagnostics) if diagnostics is not None else None,
-            )
-            raise DivergedAt(n, partial) from None
-        states.append(current.as_array())
-    return Trajectory(
-        params=params,
-        h=h,
-        states=np.array(states),
-        solver=solver,
-        diagnostics=tuple(diagnostics) if diagnostics is not None else None,
+    except OverflowError:
+        diverged = True
+    traj = Trajectory(
+        params, h, np.array(states), solver, tuple(diagnostics) if solver == "vqls" else None
     )
+    if diverged:
+        raise DivergedAt(len(states), traj)
+    return traj
 
 
 def fixed_points(params: LorenzParams) -> list[State3]:

@@ -4,6 +4,7 @@ import pytest
 from lorenz_vqls import (
     LorenzParams,
     State3,
+    VqlsConfig,
     compare_trajectories,
     condition_sweep,
     default_h_grid,
@@ -12,6 +13,7 @@ from lorenz_vqls import (
     richardson,
     richardson_series,
     step_explicit,
+    step_solve,
     trajectory,
 )
 from lorenz_vqls.errors import LengthMismatch
@@ -146,15 +148,26 @@ def test_richardson_series_matches_leading_order_theory():
     assert vals.mean() == pytest.approx(oracle.mean(), rel=0.02)
 
 
-def test_richardson_series_advances_along_fine_path():
+@pytest.mark.parametrize(
+    "solver, vqls_config",
+    [
+        ("explicit", None),
+        ("direct", None),
+        ("vqls", VqlsConfig(max_iterations=3, restarts=1, layer_count=1)),
+    ],
+    ids=["explicit", "direct", "vqls"],
+)
+def test_richardson_series_advances_along_fine_path(solver, vqls_config):
     h = 2e-3
-    series = richardson_series(START, CLASSIC, h, 5, solver="explicit")
+    series = richardson_series(
+        START, CLASSIC, h, 5, solver=solver, vqls_config=vqls_config, warm_start=False
+    )
     # estimate k must equal the single-point estimate at the k-th fine state
     state = START
     for est in series:
-        single = richardson(state, CLASSIC, h, solver="explicit")
+        single = richardson(state, CLASSIC, h, solver=solver, vqls_config=vqls_config)
         assert (est.e_x, est.e_y, est.e_z) == (single.e_x, single.e_y, single.e_z)
-        state = step_explicit(state, CLASSIC, h)
+        state, _ = step_solve(state, CLASSIC, h, solver=solver, vqls_config=vqls_config)
 
 
 def test_richardson_convergence_slope():
@@ -171,8 +184,6 @@ def test_richardson_convergence_slope():
 
 
 def quantum_series_ratio(steps):
-    from lorenz_vqls import VqlsConfig
-
     h = 1e-3
     classical = richardson_series(START, CLASSIC, h, steps, solver="direct")
     quantum = richardson_series(

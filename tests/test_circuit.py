@@ -169,6 +169,15 @@ def test_expectation_dimension_mismatch():
         expectation(np.ones(4) / 2.0, PauliSum((PauliTerm("ZII", 1.0),), 3))
 
 
+def test_expectation_rejects_imaginary_hermitian_value():
+    # the coefficient's 1e-13 imaginary part passes as Hermitian, but on this
+    # unnormalized state it leaves an imaginary part of 0.2 in the value
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = psi[4] = 1e6
+    with pytest.raises(ValueError, match="imaginary"):
+        expectation(psi, PauliSum((PauliTerm("XII", 1 + 1e-13j),), 3))
+
+
 def test_apply_single_qubit_respects_msb_convention():
     # qubit 0 is the most significant bit: flipping it on |000> gives |100> = e4
     psi = np.zeros(8, dtype=complex)

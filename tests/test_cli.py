@@ -145,6 +145,21 @@ def test_richardson_halving_ratio(tmp_path, capsys):
     assert 1.5 <= ratio <= 2.5
 
 
+def test_richardson_divergence_marker(tmp_path, capsys):
+    out = tmp_path / "blowup.csv"
+    code, stdout, _ = run_cli(
+        capsys, "richardson", "--h-list", "0.001,0.25,0.002", "--steps", "50",
+        "--start", "30,-40,10", "--out", str(out),
+    )
+    assert code == 2
+    header, rows, comments = read_table(out)
+    assert len(rows) == 50 and {row[1] for row in rows} == {"0.001"}
+    assert comments == ["# diverged at h 0.25"]
+    summary = last_json(stdout)
+    assert summary["diverged_at_h"] == 0.25
+    assert list(summary["mean_total"]) == ["0.001"]
+
+
 def test_richardson_malformed_h_list(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "richardson", "--h-list", "1e-3;5e-4", "--out", str(tmp_path / "x.csv")

@@ -167,6 +167,21 @@ def test_step_solve_unknown_solver():
         step_solve(State3(1, 1, 1), CLASSIC, 0.01, solver="magic")
 
 
+def test_step_solve_dispatch():
+    rng = np.random.default_rng(37)
+    signed_origin = State3(-0.0, 0.0, -0.0)
+    for s in [signed_origin] + [State3.from_array(rng.uniform(-25, 25, 3)) for _ in range(20)]:
+        stepped, outcome = step_solve(s, CLASSIC, 5e-3, solver="explicit")
+        expected = step_explicit(s, CLASSIC, 5e-3)
+        assert outcome is None
+        assert stepped.as_array().tobytes() == expected.as_array().tobytes()
+    origin = State3(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="magic"):
+        step_solve(origin, CLASSIC, 0.01, solver="magic")
+    stepped, outcome = step_solve(signed_origin, CLASSIC, 0.01, solver="vqls")
+    assert stepped is signed_origin and outcome is None
+
+
 def test_trajectory_attractor_stays_bounded():
     traj = trajectory(State3(1.0, -2.0, 4.0), CLASSIC, 5e-3, 2000, solver="direct")
     assert len(traj) == 2001

@@ -14,17 +14,6 @@ from .errors import DimensionMismatch, ShapeMismatch
 from .pauli import PauliSum
 
 
-def rz_matrix(angle: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex
-    )
-
-
-def ry_matrix(angle: float) -> np.ndarray:
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def _rotation_blocks(theta: np.ndarray) -> np.ndarray:
     """Per-qubit 2x2 rotations for a (..., 3) grid of (alpha, beta, gamma)."""
     alpha, beta, gamma = theta[..., 0], theta[..., 1], theta[..., 2]
@@ -44,64 +33,32 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return _rotation_blocks(np.array([alpha, beta, gamma], dtype=float))
 
 
-def _qubit_count(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise DimensionMismatch(f"state length {dim} is not a power of two")
-    return n
-
-
-def apply_single_qubit(state, gate, qubit: int) -> np.ndarray:
-    """Apply a 2x2 gate to one qubit of a statevector."""
-    state = np.asarray(state, dtype=complex)
-    n = _qubit_count(state.shape[0])
-    psi = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
-    out = gate @ psi
-    return np.moveaxis(out.reshape([2] * n), 0, qubit).reshape(-1)
-
-
-def apply_rz(state, qubit: int, angle: float) -> np.ndarray:
-    return apply_single_qubit(state, rz_matrix(angle), qubit)
-
-
-def apply_ry(state, qubit: int, angle: float) -> np.ndarray:
-    return apply_single_qubit(state, ry_matrix(angle), qubit)
-
-
 @lru_cache(maxsize=None)
-def _cnot_gather(n: int, control: int, target: int) -> np.ndarray:
+def _ring_gather(n: int, offset: int) -> np.ndarray:
+    """Gather array applying CNOT(q, (q + offset) mod n) for q = 0..n-1 in
+    turn; the identity for a single qubit, which has no ring."""
     idx = np.arange(1 << n)
-    bit = (idx >> (n - 1 - control)) & 1
-    gather = idx ^ (bit << (n - 1 - target))
-    gather.setflags(write=False)
-    return gather
-
-
-def apply_cnot(state, control: int, target: int) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    n = _qubit_count(state.shape[0])
-    return state[_cnot_gather(n, control, target)]
-
-
-@lru_cache(maxsize=None)
-def _ring_gather(n: int, offset: int):
-    """Gather array for the full CNOT ring; None when there is one qubit."""
-    if n == 1:
-        return None
-    gather = np.arange(1 << n)
-    for q in range(n):
-        gather = gather[_cnot_gather(n, q, (q + offset) % n)]
+    gather = idx
+    for q in range(n if n > 1 else 0):
+        bit = (idx >> (n - 1 - q)) & 1
+        gather = gather[idx ^ (bit << (n - 1 - (q + offset) % n))]
     gather.setflags(write=False)
     return gather
 
 
 @lru_cache(maxsize=None)
-def _layer_subscripts(n: int) -> str:
-    """einsum spec applying one 2x2 gate per qubit to a rank-n state tensor."""
-    out_axes = "abcdef"[:n]
-    in_axes = "ghijkl"[:n]
-    gates = ",".join(o + i for o, i in zip(out_axes, in_axes))
-    return f"{gates},{in_axes}->{out_axes}"
+def _kron_subscripts(n: int) -> str:
+    """einsum spec for the Kronecker products of n stacks of 2x2 blocks."""
+    rows, cols = "abcdef"[:n], "ghijkl"[:n]
+    return ",".join(f"z{r}{c}" for r, c in zip(rows, cols)) + f"->z{rows}{cols}"
+
+
+@lru_cache(maxsize=None)
+def _overlap_subscripts(n: int) -> tuple[str, ...]:
+    """Per qubit q, the einsum spec contracting two stacks of rank-n state
+    tensors over every qubit but q, leaving a 2x2 matrix per stack entry."""
+    axes = "abcdef"[:n]
+    return tuple(f"l{axes},l{axes[:q]}z{axes[q + 1:]}->l{axes[q]}z" for q in range(n))
 
 
 @dataclass(frozen=True)
@@ -124,6 +81,38 @@ class AnsatzConfig:
         return (self.layer_count, self.qubit_count, 3)
 
 
+def _checked(cfg: AnsatzConfig, theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != cfg.shape:
+        raise ShapeMismatch(f"expected theta shape {cfg.shape}, got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta contains non-finite angles")
+    return theta
+
+
+def _layer_matrices(cfg: AnsatzConfig, theta: np.ndarray) -> np.ndarray:
+    """Per layer, the dense matrix of its single-qubit rotations."""
+    dim = 1 << cfg.qubit_count
+    blocks = np.moveaxis(_rotation_blocks(theta), 1, 0)
+    return np.einsum(_kron_subscripts(cfg.qubit_count), *blocks).reshape(-1, dim, dim)
+
+
+def _forward(cfg: AnsatzConfig, layers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run |0...0> through the layers.
+
+    Returns the state just after each layer's rotations, before its CNOT
+    ring, and the normalized output state.
+    """
+    ring = _ring_gather(cfg.qubit_count, cfg.entangle_range)
+    rotated = np.empty(layers.shape[:2], dtype=complex)
+    psi = np.zeros(layers.shape[1], dtype=complex)
+    psi[0] = 1.0
+    for layer, matrix in enumerate(layers):
+        rotated[layer] = matrix @ psi
+        psi = rotated[layer][ring]
+    return rotated, psi / np.linalg.norm(psi)
+
+
 def run_ansatz(cfg: AnsatzConfig, theta) -> np.ndarray:
     """Prepare the ansatz state from |0...0>.
 
@@ -131,23 +120,51 @@ def run_ansatz(cfg: AnsatzConfig, theta) -> np.ndarray:
     first), then CNOTs with control q and target (q + entangle_range) mod
     qubit_count for q = 0..qubit_count-1 (skipped for a single qubit).
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != cfg.shape:
-        raise ShapeMismatch(f"expected theta shape {cfg.shape}, got {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta contains non-finite angles")
-    dim = 1 << cfg.qubit_count
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
+    return _forward(cfg, _layer_matrices(cfg, _checked(cfg, theta)))[1]
+
+
+def ansatz_gradient(cfg: AnsatzConfig, theta, cotangent) -> np.ndarray:
+    """Adjoint-mode gradient of a real cost C(psi) over the ansatz angles.
+
+    `cotangent(psi)` returns dC/d(conj psi), so that dC/dtheta =
+    2 Re <cotangent(psi)|d psi/dtheta>; for C = <psi|H|psi> it is H psi.
+    One forward sweep keeps each layer's rotated state; one backward sweep
+    carries the cotangent back through each CNOT ring and rotation layer
+    (Jones & Gacon, arXiv:2009.02823).  Exact, like the parameter-shift
+    rule, for these rotation gates.
+    """
+    theta = _checked(cfg, theta)
+    layers = _layer_matrices(cfg, theta)
+    kets, psi = _forward(cfg, layers)
     ring = _ring_gather(cfg.qubit_count, cfg.entangle_range)
-    rotations = _rotation_blocks(theta)
-    subscripts = _layer_subscripts(cfg.qubit_count)
-    shape = (2,) * cfg.qubit_count
-    for layer in rotations:
-        psi = np.einsum(subscripts, *layer, psi.reshape(shape)).reshape(-1)
-        if ring is not None:
-            psi = psi[ring]
-    return psi / np.linalg.norm(psi)
+    adjoints = layers.conj()
+    cotangents = np.empty_like(kets)  # the cotangent at each rotated state
+    mu = np.asarray(cotangent(psi), dtype=complex)
+    for layer in reversed(range(cfg.layer_count)):
+        cotangents[layer, ring] = mu
+        mu = cotangents[layer] @ adjoints[layer]
+    shape = (cfg.layer_count,) + (2,) * cfg.qubit_count
+    bra, ket = cotangents.conj().reshape(shape), kets.reshape(shape)
+    # m[l, q][a, c] = sum over the other qubits of bra[a] ket[c]
+    m = np.stack(
+        [np.einsum(spec, bra, ket) for spec in _overlap_subscripts(cfg.qubit_count)],
+        axis=1,
+    )
+    # d/d(angle) of R_Z(gamma) R_Y(beta) R_Z(alpha) is (-i/2 P) times the
+    # rotation, with P the angle's Pauli generator moved to the output side:
+    # Z for gamma, cos(gamma) Y - sin(gamma) X for beta, and
+    # cos(beta) Z + sin(beta) (cos(gamma) X + sin(gamma) Y) for alpha.
+    # The derivative is then 2 Re(-i/2 sum P * m) = Im(sum P * m).
+    z = m[..., 0, 0] - m[..., 1, 1]
+    x = m[..., 0, 1] + m[..., 1, 0]
+    y = 1j * (m[..., 1, 0] - m[..., 0, 1])
+    beta, gamma = theta[..., 1], theta[..., 2]
+    cos_g, sin_g = np.cos(gamma), np.sin(gamma)
+    grad = np.empty_like(theta)
+    grad[..., 0] = (np.cos(beta) * z + np.sin(beta) * (cos_g * x + sin_g * y)).imag
+    grad[..., 1] = (cos_g * y - sin_g * x).imag
+    grad[..., 2] = z.imag
+    return grad
 
 
 def expectation(state, hamiltonian: PauliSum) -> float:

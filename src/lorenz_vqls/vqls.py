@@ -1,17 +1,19 @@
 """Variational solver for A w = b.
 
-Builds the residual cost Hamiltonian A^H (I - |b><b|) A, minimizes its
-expectation over the ansatz by fixed-step gradient descent with random
-restarts, and reads the rescaled, sign-corrected classical solution back out
-of the optimized state.
+Minimizes the residual cost <psi|A^H (I - |b><b|) A|psi> = ||r||^2, with the
+projected residual r = A psi - b <b|A psi>, over the ansatz by fixed-step
+gradient descent with adjoint gradients and random restarts, and reads the
+rescaled, sign-corrected classical solution back out of the optimized state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .circuit import AnsatzConfig, expectation, run_ansatz
+from .circuit import AnsatzConfig, ansatz_gradient, run_ansatz
+from .circuit import expectation  # noqa: F401  (bench/spans.py traces this name)
 from .errors import DegenerateImage, NotNormalized, ZeroRightHandSide
 from .linalg import _square, _vector, num_qubits
 from .pauli import PauliSum, decompose
@@ -54,11 +56,15 @@ class VqlsProblem:
     a: np.ndarray
     b: np.ndarray
     b_unit: np.ndarray
-    hamiltonian: PauliSum
 
     @property
     def qubit_count(self) -> int:
-        return self.hamiltonian.qubit_count
+        return num_qubits(self.a.shape[0])
+
+    @cached_property
+    def hamiltonian(self) -> PauliSum:
+        """Pauli decomposition of `cost_hamiltonian`; the solver never needs it."""
+        return decompose(cost_hamiltonian(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -66,53 +72,53 @@ class VqlsOutcome:
     theta_opt: np.ndarray
     final_cost: float
     initial_cost: float
-    iterations_used: int
+    iterations_used: int  # of the winning descent
+    iterations_total: int  # over every descent run
+    descents: int  # restarts run, restart 0 included
     solution: np.ndarray
     residual: float
     scale: float
     sign: int
 
 
-def cost_hamiltonian(a, b) -> np.ndarray:
-    """Dense A^H (I - b_unit b_unit^H) A; zero exactly on multiples of A^-1 b."""
+def _unit_rhs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = _square(np.asarray(a))
     b = _vector(np.asarray(b), a.shape[0])
     norm_b = np.linalg.norm(b)
     if norm_b < ZERO_RHS_TOL:
         raise ZeroRightHandSide("right-hand side has zero norm")
-    b_unit = b / norm_b
+    return a, b, b / norm_b
+
+
+def cost_hamiltonian(a, b) -> np.ndarray:
+    """Dense A^H (I - b_unit b_unit^H) A; zero exactly on multiples of A^-1 b."""
+    a, _, b_unit = _unit_rhs(a, b)
     projector = np.eye(a.shape[0]) - np.outer(b_unit, b_unit.conj())
     return a.conj().T @ projector @ a
 
 
 def build_problem(a, b) -> VqlsProblem:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _square(a)
-    num_qubits(a.shape[0])
-    dense = cost_hamiltonian(a, b)
-    return VqlsProblem(
-        a=a, b=b, b_unit=b / np.linalg.norm(b), hamiltonian=decompose(dense)
-    )
+    num_qubits(_square(np.asarray(a)).shape[0])
+    return VqlsProblem(*_unit_rhs(a, b))
+
+
+def _residual(problem: VqlsProblem, psi: np.ndarray) -> np.ndarray:
+    """Projected residual A psi - b_unit <b_unit|A psi>."""
+    image = problem.a @ psi
+    return image - problem.b_unit * np.vdot(problem.b_unit, image)
 
 
 def cost(problem: VqlsProblem, ansatz: AnsatzConfig, theta) -> float:
-    return expectation(run_ansatz(ansatz, theta), problem.hamiltonian)
+    """<psi|A^H (I - |b><b|) A|psi>, summed as ||r||^2 so nothing cancels."""
+    r = _residual(problem, run_ansatz(ansatz, theta))
+    return float(np.vdot(r, r).real)
 
 
 def gradient(problem: VqlsProblem, ansatz: AnsatzConfig, theta) -> np.ndarray:
-    """Parameter-shift gradient: dC/dt = [C(t + pi/2) - C(t - pi/2)] / 2."""
-    theta = np.array(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for idx in np.ndindex(theta.shape):
-        original = theta[idx]
-        theta[idx] = original + np.pi / 2
-        plus = cost(problem, ansatz, theta)
-        theta[idx] = original - np.pi / 2
-        minus = cost(problem, ansatz, theta)
-        theta[idx] = original
-        grad[idx] = 0.5 * (plus - minus)
-    return grad
+    """Exact gradient of `cost`: one adjoint sweep seeded with A^H r."""
+    return ansatz_gradient(
+        ansatz, theta, lambda psi: problem.a.conj().T @ _residual(problem, psi)
+    )
 
 
 def extract_solution(
@@ -169,6 +175,7 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
         qubit_count=problem.qubit_count, layer_count=config.layer_count
     )
     best = None
+    total = 0
     for r in range(config.restarts):
         if r == 0 and theta_init is not None:
             theta0 = np.asarray(theta_init, dtype=float)
@@ -176,6 +183,7 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
             rng = np.random.default_rng(config.seed + r)
             theta0 = rng.uniform(0.0, 2 * np.pi, size=ansatz.shape)
         theta, final, initial, iterations = _descend(problem, ansatz, theta0, config)
+        total += iterations
         if best is None or final < best[1]:
             best = (theta, final, initial, iterations)
         if best[1] <= config.accept_cost:
@@ -190,6 +198,8 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
         final_cost=final,
         initial_cost=initial,
         iterations_used=iterations,
+        iterations_total=total,
+        descents=r + 1,
         solution=solution,
         residual=residual,
         scale=scale,
@@ -198,14 +208,17 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
 
 
 def trace_distance(u, v) -> float:
-    """For unit vectors (pure states): sqrt(1 - |<u|v>|^2)."""
+    """For unit vectors (pure states): ||v - <u|v> u||.
+
+    This equals sqrt(1 - |<u|v>|^2) but keeps its digits on close states.
+    """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     for vec in (u, v):
         if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
             raise NotNormalized("trace distance requires unit vectors")
-    overlap = min(abs(np.vdot(u, v)), 1.0)
-    return float(np.sqrt(1.0 - overlap * overlap))
+    d = v - u * np.vdot(u, v)
+    return float(np.sqrt(np.vdot(d, d).real))
 
 
 def error_bound(final_cost: float, kappa: float) -> float:

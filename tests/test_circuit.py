@@ -2,17 +2,44 @@ import numpy as np
 import pytest
 
 from lorenz_vqls import AnsatzConfig, PauliSum, PauliTerm, expectation, run_ansatz
-from lorenz_vqls.circuit import (
-    apply_cnot,
-    apply_ry,
-    apply_rz,
-    apply_single_qubit,
-    rotation_matrix,
-    ry_matrix,
-    rz_matrix,
-)
+from lorenz_vqls.circuit import ansatz_gradient, rotation_matrix
 from lorenz_vqls.errors import DimensionMismatch, ShapeMismatch
 from lorenz_vqls.pauli import pauli_matrix
+
+
+# Gate-by-gate reference simulator; qubit 0 is the most significant bit.
+def rz_matrix(angle):
+    return np.array(
+        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex
+    )
+
+
+def ry_matrix(angle):
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def apply_single_qubit(state, gate, qubit):
+    state = np.asarray(state, dtype=complex)
+    n = state.shape[0].bit_length() - 1
+    psi = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
+    return np.moveaxis((gate @ psi).reshape([2] * n), 0, qubit).reshape(-1)
+
+
+def apply_rz(state, qubit, angle):
+    return apply_single_qubit(state, rz_matrix(angle), qubit)
+
+
+def apply_ry(state, qubit, angle):
+    return apply_single_qubit(state, ry_matrix(angle), qubit)
+
+
+def apply_cnot(state, control, target):
+    state = np.asarray(state, dtype=complex)
+    n = state.shape[0].bit_length() - 1
+    idx = np.arange(1 << n)
+    bit = (idx >> (n - 1 - control)) & 1
+    return state[idx ^ (bit << (n - 1 - target))]
 
 
 def dense_single(gate, qubit, n):
@@ -64,6 +91,18 @@ def test_shape_mismatch():
     cfg = AnsatzConfig(qubit_count=3, layer_count=5)
     with pytest.raises(ShapeMismatch):
         run_ansatz(cfg, np.zeros((5, 2, 3)))
+    with pytest.raises(ShapeMismatch):
+        ansatz_gradient(cfg, np.zeros((5, 2, 3)), lambda psi: psi)
+
+
+def test_non_finite_angles_rejected():
+    cfg = AnsatzConfig(qubit_count=2, layer_count=1)
+    theta = np.zeros(cfg.shape)
+    theta[0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_ansatz(cfg, theta)
+    with pytest.raises(ValueError, match="non-finite"):
+        ansatz_gradient(cfg, theta, lambda psi: psi)
 
 
 def test_rotation_matrix_closed_form_and_composition():
@@ -114,18 +153,19 @@ def test_gate_applications_preserve_norm():
 def test_run_ansatz_matches_gate_by_gate_oracle():
     # same circuit built from individual R_Z/R_Y/CNOT applications
     rng = np.random.default_rng(3)
-    cfg = AnsatzConfig(qubit_count=3, layer_count=3)
-    theta = rng.uniform(0, 2 * np.pi, cfg.shape)
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = 1.0
-    for layer in theta:
-        for q, (alpha, beta, gamma) in enumerate(layer):
-            psi = apply_rz(psi, q, alpha)
-            psi = apply_ry(psi, q, beta)
-            psi = apply_rz(psi, q, gamma)
-        for q in range(3):
-            psi = apply_cnot(psi, q, (q + 1) % 3)
-    assert np.max(np.abs(run_ansatz(cfg, theta) - psi)) <= 1e-13
+    for entangle in (1, 2):
+        cfg = AnsatzConfig(qubit_count=3, layer_count=3, entangle_range=entangle)
+        theta = rng.uniform(0, 2 * np.pi, cfg.shape)
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = 1.0
+        for layer in theta:
+            for q, (alpha, beta, gamma) in enumerate(layer):
+                psi = apply_rz(psi, q, alpha)
+                psi = apply_ry(psi, q, beta)
+                psi = apply_rz(psi, q, gamma)
+            for q in range(3):
+                psi = apply_cnot(psi, q, (q + entangle) % 3)
+        assert np.max(np.abs(run_ansatz(cfg, theta) - psi)) <= 1e-13
 
 
 def test_run_ansatz_is_deterministic():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenz_vqls import (
     AnsatzConfig,
@@ -11,7 +13,9 @@ from lorenz_vqls import (
     build_rhs,
     cost,
     cost_hamiltonian,
+    decompose,
     error_bound,
+    expectation,
     extract_solution,
     gradient,
     optimize,
@@ -47,6 +51,21 @@ def finite_difference(problem, ansatz, theta, step=1e-6):
         minus = cost(problem, ansatz, bumped)
         out[idx] = (plus - minus) / (2 * step)
     return out
+
+
+def parameter_shift(problem, ansatz, theta):
+    """Reference gradient: dC/dt = [C(t + pi/2) - C(t - pi/2)] / 2."""
+    theta = np.array(theta, dtype=float)
+    grad = np.zeros_like(theta)
+    for idx in np.ndindex(theta.shape):
+        original = theta[idx]
+        theta[idx] = original + np.pi / 2
+        plus = cost(problem, ansatz, theta)
+        theta[idx] = original - np.pi / 2
+        minus = cost(problem, ansatz, theta)
+        theta[idx] = original
+        grad[idx] = 0.5 * (plus - minus)
+    return grad
 
 
 def test_build_problem_identity_projector():
@@ -99,8 +118,9 @@ def test_cost_one_on_orthogonal_state():
 
 
 def test_cost_matches_dense_oracle():
-    problem, _ = lorenz_problem()
+    problem, a = lorenz_problem()
     dense = reconstruct(problem.hamiltonian)
+    pauli_sum = decompose(cost_hamiltonian(a, problem.b))
     ansatz = AnsatzConfig(qubit_count=3, layer_count=5)
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -108,6 +128,7 @@ def test_cost_matches_dense_oracle():
         psi = run_ansatz(ansatz, theta)
         reference = np.vdot(psi, dense @ psi).real
         assert cost(problem, ansatz, theta) == pytest.approx(reference, abs=1e-10)
+        assert abs(cost(problem, ansatz, theta) - expectation(psi, pauli_sum)) <= 1e-12
 
 
 def test_cost_is_nonnegative():
@@ -138,6 +159,28 @@ def test_gradient_matches_finite_differences():
         assert np.max(np.abs(shift - fd)) <= 1e-5
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # (qubit_count, entangle_range): every valid pair, one qubit (no ring) included
+    circuit=st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2)]),
+    layers=st.integers(1, 5),
+)
+def test_adjoint_gradient_matches_references(seed, circuit, layers):
+    qubits, entangle = circuit
+    dim = 1 << qubits
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = np.eye(dim) + 0.2 * noise / np.sqrt(2 * dim)
+    b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    problem = build_problem(a, b)
+    ansatz = AnsatzConfig(qubit_count=qubits, layer_count=layers, entangle_range=entangle)
+    theta = rng.uniform(0, 2 * np.pi, ansatz.shape)
+    adjoint = gradient(problem, ansatz, theta)
+    assert np.max(np.abs(adjoint - parameter_shift(problem, ansatz, theta))) <= 1e-12
+    assert np.max(np.abs(adjoint - finite_difference(problem, ansatz, theta))) <= 1e-6
+
+
 def test_gradient_vanishes_at_known_optimum():
     # theta = 0 prepares |000> = b exactly for the identity problem, so it
     # is a converged optimum; descent started there should not move away
@@ -148,6 +191,19 @@ def test_gradient_vanishes_at_known_optimum():
     outcome = optimize(problem, VqlsConfig(seed=0, restarts=1), theta_init=theta)
     assert outcome.final_cost <= 1e-12
     assert outcome.iterations_used <= 2
+    assert outcome.descents == 1
+    assert outcome.iterations_total == outcome.iterations_used
+
+
+def test_optimize_counts_every_descent():
+    # 5 iterations never reach accept_cost from a cold start, so every
+    # restart runs to max_iterations and the winner holds a third of the work
+    problem, _ = lorenz_problem()
+    outcome = optimize(problem, VqlsConfig(seed=0, restarts=3, max_iterations=5))
+    assert outcome.final_cost > VqlsConfig().accept_cost
+    assert outcome.descents == 3
+    assert outcome.iterations_used == 5
+    assert outcome.iterations_total == 15
 
 
 def test_optimize_identity_problem_quality():
@@ -260,6 +316,14 @@ def test_trace_distance_values():
         trace_distance(u, 0.5 * v)
 
 
+@pytest.mark.parametrize("t", [1e-6, 2.5e-4, 0.5])
+def test_trace_distance_keeps_digits_on_close_states(t):
+    # sqrt(1 - |<u|v>|^2) is off by 4.4e-5 relative at t = 1e-6, 6e-10 at 2.5e-4
+    u = np.array([1.0, 0.0], dtype=complex)
+    v = np.array([np.cos(t), np.sin(t)], dtype=complex)
+    assert abs(trace_distance(u, v) - np.sin(t)) <= 1e-15 * np.sin(t)
+
+
 def test_error_bound_values():
     assert error_bound(0.0, 2.0) == 0.0
     assert error_bound(1e-6, 3.03) == pytest.approx(3.03e-3)
@@ -283,12 +347,7 @@ def test_error_bound_holds_on_solved_instance():
 
 def test_degenerate_image_detection():
     problem = build_problem(np.eye(8), E1)
-    crippled = problem.__class__(
-        a=np.zeros((8, 8)),
-        b=problem.b,
-        b_unit=problem.b_unit,
-        hamiltonian=problem.hamiltonian,
-    )
+    crippled = problem.__class__(a=np.zeros((8, 8)), b=problem.b, b_unit=problem.b_unit)
     ansatz = AnsatzConfig(qubit_count=3, layer_count=1)
     with pytest.raises(DegenerateImage):
         extract_solution(crippled, ansatz, np.zeros(ansatz.shape))

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .analysis import compare_trajectories, condition_sweep, richardson_series
-from .errors import DivergedAt, NotPowerOfTwo
+from .errors import DivergedAt
 from .linalg import pad_to_power_of_two
 from .lorenz import (
+    MAX_TIMESTEP,
     SOLVERS,
     LorenzParams,
     State3,
@@ -60,211 +62,186 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the exit-code contract
-    # reserves 2 for numerical divergence.
+    # Usage errors raise CliError (exit 1): argparse would exit 2, which the
+    # exit-code contract reserves for numerical divergence.
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise CliError(message)
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_start(text: str) -> tuple[float, float, float]:
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise CliError(f"start must be three comma-separated numbers, got {text!r}")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise CliError(f"bad start {text!r}: {exc}") from None
-    return x, y, z
-
-
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise CliError(f"expected a boolean, got {text!r}")
-
-
-def _parse_h_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(p) for p in str(text).split(","))
-    except ValueError as exc:
-        raise CliError(f"bad h list {text!r}: {exc}") from None
-    if not values or any(v <= 0 for v in values):
-        raise CliError(f"h list must contain positive values, got {text!r}")
+# argparse reports a ValueError from these as "invalid <name> value".
+def _start(text: str) -> tuple[float, ...]:
+    values = tuple(map(float, text.split(",")))
+    if len(values) != 3 or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected three finite numbers, got {text!r}")
     return values
 
 
-# Config-file values arrive as strings and are coerced with the same rules
-# as the matching flags.
-_COERCERS = {
-    "sigma": float, "rho": float, "beta": float, "h": float,
-    "steps": int, "start": _parse_start, "solver": str, "layers": int,
-    "max-iter": int, "tol": float, "stepsize": float, "restarts": int,
-    "seed": int, "warm-start": _parse_bool, "preset": str, "out": str,
-    "threads": int, "pad": _parse_bool, "h-list": _parse_h_list,
-    "h-min": float, "h-max": float, "count": int, "self-compare": _parse_bool,
-}
+def _step_size(text: str) -> float:
+    h = float(text)
+    if not 0 < h <= MAX_TIMESTEP:
+        raise argparse.ArgumentTypeError(f"expected a step in (0, {MAX_TIMESTEP}], got {text!r}")
+    return h
 
 
-def _read_config_file(path: str) -> dict:
+def _h_list(text: str) -> tuple[float, ...]:
+    return tuple(_step_size(p) for p in text.split(","))
+
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The top-level parser and its subparsers by command name."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key = value file mirroring flag names")
+    common.add_argument("--preset", choices=sorted(PRESETS))
+    lorenz = LorenzParams()
+    common.add_argument("--sigma", type=float, default=lorenz.sigma)
+    common.add_argument("--rho", type=float, default=lorenz.rho)
+    common.add_argument("--beta", type=float, default=lorenz.beta)
+    common.add_argument("--out")
+
+    start = argparse.ArgumentParser(add_help=False)
+    start.add_argument("--start", type=_start, default=(1.0, -2.0, 4.0), metavar="X,Y,Z")
+    state = argparse.ArgumentParser(add_help=False, parents=[start])
+    state.add_argument("--h", type=_step_size, default=5e-3)
+
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--steps", type=int, default=100)
+    run.add_argument("--warm-start", action=argparse.BooleanOptionalAction, default=True)
+    vqls = VqlsConfig()
+    run.add_argument("--layers", type=int, default=vqls.layer_count)
+    run.add_argument("--max-iter", type=int, default=vqls.max_iterations)
+    run.add_argument("--tol", type=float, default=vqls.conv_tol)
+    run.add_argument("--stepsize", type=float, default=vqls.stepsize)
+    run.add_argument("--restarts", type=int, default=vqls.restarts)
+    run.add_argument("--seed", type=int, help="required for vqls runs")
+
+    parser = _Parser(prog="lorenz-vqls")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    def command(name, handler, parents, help):
+        # flags must be spelled in full: an abbreviation such as `--h` would
+        # otherwise stand for richardson's `--h-list`
+        p = sub.add_parser(name, parents=[common, *parents], help=help, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("simulate", cmd_simulate, [state, run], "integrate one trajectory to CSV")
+    p.add_argument("--solver", choices=SOLVERS, default="direct")
+
+    p = command("compare", cmd_compare, [state, run], "direct vs variational trajectories")
+    p.add_argument("--self-compare", action="store_true",
+                   help="run direct vs direct (sanity mode)")
+
+    p = command("richardson", cmd_richardson, [start, run], "step-halving error estimates")
+    p.add_argument("--solver", choices=SOLVERS, default="direct")
+    p.add_argument("--h-list", type=_h_list, metavar="H1,H2,...")
+
+    p = command("cond-sweep", cmd_cond_sweep, [], "condition numbers over a step-size grid")
+    p.add_argument("--h-min", type=_step_size)
+    p.add_argument("--h-max", type=_step_size)
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--threads", type=int)
+
+    p = command("decompose", cmd_decompose, [state], "Pauli decomposition of a matrix")
+    p.add_argument("source", help="lorenz-A, lorenz-HG, or a matrix file path")
+    p.add_argument("--pad", action="store_true",
+                   help="pad file matrices up to the next power of two")
+    return parser, sub.choices
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_tokens(path: str, sub: argparse.ArgumentParser):
+    """Yield (path:line, flag) per `key = value` line: `--key=value`, or for a
+    switch its flag when the value turns it away from its default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None
-    values = {}
     for lineno, raw in enumerate(lines, start=1):
+        where = f"{path}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise CliError(f"{path}:{lineno}: expected `key = value`")
-        key = key.strip()
-        if key not in _COERCERS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _COERCERS[key](value.strip())
-    return values
+            raise CliError(f"{where}: expected `key = value`")
+        if key == "config":
+            raise CliError(f"{where}: unknown key 'config'")
+        default = sub.get_default(key.replace("-", "_"))
+        if not isinstance(default, bool):
+            yield where, f"--{key}={value}"
+            continue
+        on = _BOOLEANS.get(value.lower())
+        if on is None:
+            raise CliError(f"{where}: expected a boolean for {key}, got {value!r}")
+        if on != default:
+            yield where, f"--{key}" if on else f"--no-{key}"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value file mirroring flag names")
-    parser.add_argument("--preset", choices=sorted(PRESETS))
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--h", type=float)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--start", metavar="X,Y,Z")
-    parser.add_argument("--solver", choices=SOLVERS)
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--max-iter", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--stepsize", type=float)
-    parser.add_argument("--restarts", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--warm-start", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--out")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lorenz-vqls")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="direct vs variational trajectories")
-    _add_common(p)
-    p.add_argument("--self-compare", action=argparse.BooleanOptionalAction, default=None,
-                   help="run direct vs direct (sanity mode)")
-
-    p = sub.add_parser("richardson", help="step-halving error estimates")
-    _add_common(p)
-    p.add_argument("--h-list", metavar="H1,H2,...")
-
-    p = sub.add_parser("cond-sweep", help="condition numbers over a step-size grid")
-    _add_common(p)
-    p.add_argument("--h-min", type=float)
-    p.add_argument("--h-max", type=float)
-    p.add_argument("--count", type=int)
-
-    p = sub.add_parser("decompose", help="Pauli decomposition of a matrix")
-    p.add_argument("source", help="lorenz-A, lorenz-HG, or a matrix file path")
-    _add_common(p)
-    p.add_argument("--pad", action=argparse.BooleanOptionalAction, default=None,
-                   help="pad file matrices up to the next power of two")
-    return parser
-
-
-_VQLS_DEFAULTS = VqlsConfig()
-_DEFAULTS = {
-    "sigma": 10.0, "rho": 28.0, "beta": 8 / 3,
-    "h": 5e-3, "steps": 100, "start": (1.0, -2.0, 4.0),
-    "solver": "direct",
-    "layers": _VQLS_DEFAULTS.layer_count,
-    "max-iter": _VQLS_DEFAULTS.max_iterations,
-    "tol": _VQLS_DEFAULTS.conv_tol,
-    "stepsize": _VQLS_DEFAULTS.stepsize,
-    "restarts": _VQLS_DEFAULTS.restarts,
-    "seed": None, "warm-start": True,
-    "threads": None, "out": None, "pad": False, "h-list": None,
-    "h-min": None, "h-max": None, "count": 100, "self-compare": False,
-}
-
-
-def _merge_options(args: argparse.Namespace) -> dict:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     """defaults < preset < config file < explicit flags."""
-    flags = {}
-    for key in _COERCERS:
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            value = getattr(args, attr)
-            flags[key] = _COERCERS[key](value) if isinstance(value, str) else value
-    config = _read_config_file(args.config) if args.config else {}
-    merged = dict(_DEFAULTS)
-    preset = flags.get("preset", config.get("preset"))
-    if preset is not None:
-        if preset not in PRESETS:
-            raise CliError(f"unknown preset {preset!r}")
-        merged.update(PRESETS[preset])
-    merged.update(config)
-    merged.update(flags)
-    return merged
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    sub = commands[args.command]
+    if args.config:
+        # each line goes in as a flag ahead of the command line's own, which
+        # therefore win; a parse after each insert lets an error name its line
+        at = argv.index(args.command) + 1
+        for where, token in _config_tokens(args.config, sub):
+            argv = [*argv[:at], token, *argv[at:]]
+            at += 1
+            try:
+                args = parser.parse_args(argv)
+            except CliError as exc:
+                raise CliError(f"{where}: {exc}") from None
+    if args.preset:
+        sub.set_defaults(**PRESETS[args.preset])
+        args = parser.parse_args(argv)
+    return args
 
 
-def _require_out(opts: dict) -> str:
-    out = opts.get("out")
-    if not out:
-        raise CliError("an output path is required (--out)")
-    return out
-
-
-def _lorenz_params(opts: dict) -> LorenzParams:
+def _lorenz_params(args: argparse.Namespace) -> LorenzParams:
     try:
-        return LorenzParams(sigma=opts["sigma"], rho=opts["rho"], beta=opts["beta"])
+        return LorenzParams(sigma=args.sigma, rho=args.rho, beta=args.beta)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _vqls_config(opts: dict) -> VqlsConfig:
-    if opts["seed"] is None:
+def _vqls_config(args: argparse.Namespace) -> VqlsConfig:
+    if args.seed is None:
         raise CliError("--seed is required for vqls runs")
     try:
         return VqlsConfig(
-            max_iterations=opts["max-iter"],
-            conv_tol=opts["tol"],
-            stepsize=opts["stepsize"],
-            layer_count=opts["layers"],
-            restarts=opts["restarts"],
-            seed=opts["seed"],
+            max_iterations=args.max_iter,
+            conv_tol=args.tol,
+            stepsize=args.stepsize,
+            layer_count=args.layers,
+            restarts=args.restarts,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _run_trajectory(opts: dict, solver: str) -> Trajectory:
-    params = _lorenz_params(opts)
-    start = State3(*opts["start"])
-    vqls_cfg = _vqls_config(opts) if solver == "vqls" else None
+def _run_trajectory(args: argparse.Namespace, solver: str) -> Trajectory:
+    params = _lorenz_params(args)
+    vqls_cfg = _vqls_config(args) if solver == "vqls" else None
     try:
         return trajectory(
-            start,
+            State3(*args.start),
             params,
-            opts["h"],
-            opts["steps"],
+            args.h,
+            args.steps,
             solver=solver,
             vqls_config=vqls_cfg,
-            warm_start=opts["warm-start"],
+            warm_start=args.warm_start,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -280,11 +257,10 @@ def _write_lines(path: str, lines) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _summary(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
-def _trajectory_lines(traj: Trajectory, diagnostics: bool):
+def _write_trajectory(path: str, traj: Trajectory, diverged_at: int | None) -> None:
+    """One row per state, with VQLS diagnostics when there are any; a run
+    that diverged keeps its rows and ends with a marker line."""
+    diagnostics = traj.diagnostics is not None
     header = "step,t,x,y,z" + (",cost,iterations,residual" if diagnostics else "")
     lines = [header]
     for n, row in enumerate(traj.states):
@@ -296,47 +272,39 @@ def _trajectory_lines(traj: Trajectory, diagnostics: bool):
                 d = traj.diagnostics[n - 1]
                 fields += [fmt(d.cost), str(d.iterations), fmt(d.residual)]
         lines.append(",".join(fields))
-    return lines
-
-
-def cmd_simulate(opts: dict) -> int:
-    out = _require_out(opts)
-    solver = opts["solver"]
-    diverged_at = None
-    try:
-        traj = _run_trajectory(opts, solver)
-    except DivergedAt as exc:
-        traj = exc.trajectory
-        diverged_at = exc.step
-    lines = _trajectory_lines(traj, diagnostics=solver == "vqls")
     if diverged_at is not None:
         lines.append(f"# diverged at step {diverged_at}")
-    _write_lines(out, lines)
-    _summary(
-        {
-            "command": "simulate",
-            "solver": solver,
-            "rows": len(traj),
-            "out": out,
-            "diverged_at": diverged_at,
-        }
-    )
+    _write_lines(path, lines)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    out, solver = args.out, args.solver
+    diverged_at = None
+    try:
+        traj = _run_trajectory(args, solver)
+    except DivergedAt as exc:
+        traj, diverged_at = exc.trajectory, exc.step
+    _write_trajectory(out, traj, diverged_at)
+    print(json.dumps({
+        "command": "simulate",
+        "solver": solver,
+        "rows": len(traj),
+        "out": out,
+        "diverged_at": diverged_at,
+    }))
     return EXIT_OK if diverged_at is None else EXIT_DIVERGED
 
 
-def cmd_compare(opts: dict) -> int:
-    out = _require_out(opts)
-    second_solver = "direct" if opts["self-compare"] else "vqls"
+def cmd_compare(args: argparse.Namespace) -> int:
+    out = args.out
+    second_solver = "direct" if args.self_compare else "vqls"
     try:
-        reference = _run_trajectory(opts, "direct")
-        other = _run_trajectory(opts, second_solver)
+        reference = _run_trajectory(args, "direct")
+        other = _run_trajectory(args, second_solver)
     except DivergedAt as exc:
         # keep the partial file contract: emit what integrated, mark, exit 2
-        traj = exc.trajectory
-        lines = _trajectory_lines(traj, diagnostics=traj.solver == "vqls")
-        lines.append(f"# diverged at step {exc.step}")
-        _write_lines(out, lines)
-        _summary({"command": "compare", "out": out, "diverged_at": exc.step})
+        _write_trajectory(out, exc.trajectory, exc.step)
+        print(json.dumps({"command": "compare", "out": out, "diverged_at": exc.step}))
         return EXIT_DIVERGED
     series = compare_trajectories(reference, other)
     lines = ["step,t,x_c,y_c,z_c,x_q,y_q,z_q,rel_err,cost,residual"]
@@ -357,36 +325,33 @@ def cmd_compare(opts: dict) -> int:
             fields += ["", ""]
         lines.append(",".join(fields))
     _write_lines(out, lines)
-    _summary(
-        {
-            "command": "compare",
-            "mean_rel_err": float(np.mean(series.values)),
-            "max_rel_err": float(np.max(series.values)),
-            "rows": len(reference),
-            "out": out,
-            "diverged_at": None,
-        }
-    )
+    print(json.dumps({
+        "command": "compare",
+        "mean_rel_err": float(np.mean(series.values)),
+        "max_rel_err": float(np.max(series.values)),
+        "rows": len(reference),
+        "out": out,
+        "diverged_at": None,
+    }))
     return EXIT_OK
 
 
-def cmd_richardson(opts: dict) -> int:
-    out = _require_out(opts)
-    if opts["h-list"] is None:
+def cmd_richardson(args: argparse.Namespace) -> int:
+    out, solver = args.out, args.solver
+    if args.h_list is None:
         raise CliError("--h-list is required for richardson")
-    params = _lorenz_params(opts)
-    start = State3(*opts["start"])
-    solver = opts["solver"]
-    vqls_cfg = _vqls_config(opts) if solver == "vqls" else None
+    params = _lorenz_params(args)
+    start = State3(*args.start)
+    vqls_cfg = _vqls_config(args) if solver == "vqls" else None
     lines = ["step,h,e_x,e_y,e_z,total"]
     means = {}
     summary = {"command": "richardson", "mean_total": means, "out": out}
-    for h in opts["h-list"]:
+    for h in args.h_list:
         try:
             series = richardson_series(
-                start, params, h, opts["steps"],
+                start, params, h, args.steps,
                 solver=solver, vqls_config=vqls_cfg,
-                warm_start=opts["warm-start"],
+                warm_start=args.warm_start,
             )
         except ValueError as exc:
             raise CliError(str(exc)) from None
@@ -403,45 +368,44 @@ def cmd_richardson(opts: dict) -> int:
             )
         means[repr(float(h))] = float(np.mean([est.total for est in series]))
     _write_lines(out, lines)
-    _summary(summary)
+    print(json.dumps(summary))
     return EXIT_DIVERGED if "diverged_at_h" in summary else EXIT_OK
 
 
-def cmd_cond_sweep(opts: dict) -> int:
-    out = _require_out(opts)
-    h_min, h_max = opts["h-min"], opts["h-max"]
+def cmd_cond_sweep(args: argparse.Namespace) -> int:
+    out, h_min, h_max = args.out, args.h_min, args.h_max
     if h_min is None or h_max is None:
         raise CliError("--h-min and --h-max are required for cond-sweep")
-    if h_min <= 0 or h_min >= h_max:
-        raise CliError("need 0 < h-min < h-max")
-    if opts["count"] < 1:
+    if h_min >= h_max:
+        raise CliError("need h-min < h-max")
+    if args.count < 1:
         raise CliError("count must be >= 1")
-    params = _lorenz_params(opts)
-    grid = np.linspace(h_min, h_max, opts["count"])
-    rows = condition_sweep(params, grid, max_workers=opts["threads"])
+    params = _lorenz_params(args)
+    grid = np.linspace(h_min, h_max, args.count)
+    rows = condition_sweep(params, grid, max_workers=args.threads)
     lines = ["h,kappa_A,kappa_dilation"]
     lines += [",".join([fmt(h), fmt(ka), fmt(kd)]) for h, ka, kd in rows]
     _write_lines(out, lines)
-    _summary(
-        {
-            "command": "cond-sweep",
-            "max_kappa_A": max(r[1] for r in rows),
-            "max_kappa_dilation": max(r[2] for r in rows),
-            "out": out,
-        }
-    )
+    print(json.dumps({
+        "command": "cond-sweep",
+        "max_kappa_A": max(r[1] for r in rows),
+        "max_kappa_dilation": max(r[2] for r in rows),
+        "out": out,
+    }))
     return EXIT_OK
 
 
 def _parse_matrix_entry(token: str) -> complex:
     try:
-        return complex(float(token))
+        value = complex(float(token))
     except ValueError:
-        pass
-    try:
-        return complex(token)
-    except ValueError:
-        raise CliError(f"bad matrix entry {token!r}") from None
+        try:
+            value = complex(token)
+        except ValueError:
+            raise CliError(f"bad matrix entry {token!r}") from None
+    if not np.isfinite(value):
+        raise CliError(f"matrix entry {token!r} is not finite")
+    return value
 
 
 def _read_matrix_file(path: str) -> np.ndarray:
@@ -458,65 +422,50 @@ def _read_matrix_file(path: str) -> np.ndarray:
     return np.array([[_parse_matrix_entry(tok) for tok in row] for row in rows])
 
 
-def cmd_decompose(opts: dict, source: str) -> int:
-    out = _require_out(opts)
+def cmd_decompose(args: argparse.Namespace) -> int:
+    out, source = args.out, args.source
     padded_to = None
-    if source == "lorenz-A":
-        matrix = build_nonlinear_system(_lorenz_params(opts), opts["h"])
-    elif source == "lorenz-HG":
-        params = _lorenz_params(opts)
-        a = build_nonlinear_system(params, opts["h"])
-        matrix = cost_hamiltonian(a, build_rhs(State3(*opts["start"])))
+    if source in ("lorenz-A", "lorenz-HG"):
+        matrix = build_nonlinear_system(_lorenz_params(args), args.h)
     else:
         matrix = _read_matrix_file(source)
         n = matrix.shape[0]
         if n & (n - 1):
-            if not opts["pad"]:
+            if not args.pad:
                 raise CliError(
                     f"matrix dimension {n} is not a power of two (use --pad)"
                 )
             matrix, _ = pad_to_power_of_two(matrix, np.zeros(n))
             padded_to = matrix.shape[0]
     try:
+        if source == "lorenz-HG":
+            matrix = cost_hamiltonian(matrix, build_rhs(State3(*args.start)))
         total = decompose(matrix)
-    except (NotPowerOfTwo, ValueError) as exc:
+    except ValueError as exc:  # includes NotPowerOfTwo and ZeroRightHandSide
         raise CliError(str(exc)) from None
     _write_lines(out, total.dump().splitlines())
     error = float(np.max(np.abs(reconstruct(total) - matrix))) if total.terms else float(
         np.max(np.abs(matrix))
     )
-    _summary(
-        {
-            "command": "decompose",
-            "source": source,
-            "terms": len(total.terms),
-            "round_trip_error": error,
-            "padded_to": padded_to,
-            "out": out,
-        }
-    )
+    print(json.dumps({
+        "command": "decompose",
+        "source": source,
+        "terms": len(total.terms),
+        "round_trip_error": error,
+        "padded_to": padded_to,
+        "out": out,
+    }))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        opts = _merge_options(args)
-        if args.command == "simulate":
-            return cmd_simulate(opts)
-        if args.command == "compare":
-            return cmd_compare(opts)
-        if args.command == "richardson":
-            return cmd_richardson(opts)
-        if args.command == "cond-sweep":
-            return cmd_cond_sweep(opts)
-        if args.command == "decompose":
-            return cmd_decompose(opts, args.source)
-        raise CliError(f"unknown command {args.command!r}")
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if not args.out:
+            raise CliError("an output path is required (--out)")
+        return args.handler(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except CliError as exc:
         print(f"lorenz-vqls: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

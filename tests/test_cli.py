@@ -1,10 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csv_io import assert_floats_round_trip, column, read_table
-from lorenz_vqls.cli import main
+from lorenz_vqls.cli import _parse_args, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *args):
@@ -248,6 +252,17 @@ def test_decompose_lorenz_cost_hamiltonian(tmp_path, capsys):
     assert lines == sorted(lines)
 
 
+@pytest.mark.parametrize(
+    "text", ["nan 0\n0 1\n", "1 0\n0 inf\n", "1 nan+1j\n0 1\n"], ids=["nan", "inf", "complex"]
+)
+def test_decompose_rejects_non_finite_entries(tmp_path, capsys, text):
+    src = tmp_path / "m.txt"
+    src.write_text(text)
+    code, stdout, err = run_cli(capsys, "decompose", str(src), "--out", str(tmp_path / "x"))
+    assert code == 1 and not stdout
+    assert "not finite" in err
+
+
 def test_decompose_unreadable_file(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "decompose", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")
@@ -282,6 +297,31 @@ def test_config_file_unknown_key(tmp_path, capsys):
     )
     assert code == 1
     assert "wibble" in err
+
+
+def test_config_file_key_the_command_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 3\nthreads = 2\n")
+    code, _, err = run_cli(
+        capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 1
+    assert f"{cfg}:2" in err and "threads" in err
+
+
+def test_config_file_switches(tmp_path, capsys):
+    src = tmp_path / "m3.txt"
+    src.write_text("1 2 0\n2 3 1\n0 1 5\n")
+    cfg = tmp_path / "pad.cfg"
+    argv = ["decompose", str(src), "--config", str(cfg), "--out", str(tmp_path / "m3.pauli")]
+    cfg.write_text("pad = false\n")
+    assert run_cli(capsys, *argv)[0] == 1
+    cfg.write_text("pad = true\n")
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0 and last_json(stdout)["padded_to"] == 4
+    cfg.write_text("pad = maybe\n")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and f"{cfg}:1" in err
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -322,3 +362,42 @@ def test_unwritable_output_exits_one(capsys):
         capsys, "simulate", "--steps", "2", "--out", "/proc/definitely/not/writable.csv"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond-sweep", "--h-min", "0.1", "--h-max", "0.7"],
+    ["decompose", "lorenz-A", "--h", "0.9"],
+    ["decompose", "lorenz-A", "--h", "0"],
+    ["decompose", "lorenz-HG", "--start", "0,0,0"],
+    ["simulate", "--start", "inf,0,0"],
+    ["richardson", "--h-list", "0.01", "--start", "nan,0,0"],
+    ["richardson", "--h-list", "0.01,0.6"],
+], ids=" ".join)
+def test_bad_inputs_exit_one(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert err.startswith("lorenz-vqls: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond-sweep", "--h-min", "0.001", "--h-max", "0.1", "--solver", "vqls"],
+    ["decompose", "lorenz-A", "--threads", "4"],
+    ["compare", "--self-compare", "--solver", "explicit"],
+    ["richardson", "--h-list", "0.01", "--h", "0.01"],
+    ["simulate", "--threads", "2"],
+], ids=" ".join)
+def test_flags_the_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert f"unrecognized arguments: {argv[-2]} " in err
+
+
+def test_readme_examples_parse():
+    examples = [
+        shlex.split(line)[1:] for line in README.read_text().splitlines()
+        if line.startswith("lorenz-vqls ")
+    ]
+    assert len(examples) >= 9
+    for argv in examples:
+        args = _parse_args(argv)
+        assert args.out, argv

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import LengthMismatch
 from .linalg import condition_number, hermitian_dilation
 from .lorenz import (
+    MAX_TIMESTEP,
     LorenzParams,
     State3,
     Trajectory,
@@ -111,6 +112,8 @@ def richardson_series(
     which starts from the same angles as fine step n + 1.  A state past the
     overflow guard raises OverflowError.
     """
+    if not 0 < h <= MAX_TIMESTEP / 2:
+        raise ValueError(f"Richardson step h must lie in (0, {MAX_TIMESTEP / 2}], got {h}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     fine = march(start, params, h, steps + 1, solver, vqls_config, warm_start)

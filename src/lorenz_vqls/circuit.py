@@ -34,14 +34,14 @@ def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ring_gather(n: int, offset: int) -> np.ndarray:
-    """Gather array applying CNOT(q, (q + offset) mod n) for q = 0..n-1 in
-    turn; the identity for a single qubit, which has no ring."""
+def _ring_gather(n: int) -> np.ndarray:
+    """Gather array applying CNOT(q, (q + 1) mod n) for q = 0..n-1 in turn;
+    the identity for a single qubit, which has no ring."""
     idx = np.arange(1 << n)
     gather = idx
     for q in range(n if n > 1 else 0):
         bit = (idx >> (n - 1 - q)) & 1
-        gather = gather[idx ^ (bit << (n - 1 - (q + offset) % n))]
+        gather = gather[idx ^ (bit << (n - 1 - (q + 1) % n))]
     gather.setflags(write=False)
     return gather
 
@@ -65,15 +65,12 @@ def _overlap_subscripts(n: int) -> tuple[str, ...]:
 class AnsatzConfig:
     qubit_count: int
     layer_count: int = 5
-    entangle_range: int = 1
 
     def __post_init__(self):
         if self.qubit_count < 1:
             raise ValueError("qubit_count must be >= 1")
         if self.layer_count < 1:
             raise ValueError("layer_count must be >= 1")
-        if self.qubit_count > 1 and not 0 < self.entangle_range < self.qubit_count:
-            raise ValueError("entangle_range must lie in (0, qubit_count)")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -103,7 +100,7 @@ def _forward(cfg: AnsatzConfig, layers: np.ndarray) -> tuple[np.ndarray, np.ndar
     Returns the state just after each layer's rotations, before its CNOT
     ring, and the normalized output state.
     """
-    ring = _ring_gather(cfg.qubit_count, cfg.entangle_range)
+    ring = _ring_gather(cfg.qubit_count)
     rotated = np.empty(layers.shape[:2], dtype=complex)
     psi = np.zeros(layers.shape[1], dtype=complex)
     psi[0] = 1.0
@@ -117,8 +114,8 @@ def run_ansatz(cfg: AnsatzConfig, theta) -> np.ndarray:
     """Prepare the ansatz state from |0...0>.
 
     Per layer: every qubit gets R_Z(gamma) R_Y(beta) R_Z(alpha) (alpha acts
-    first), then CNOTs with control q and target (q + entangle_range) mod
-    qubit_count for q = 0..qubit_count-1 (skipped for a single qubit).
+    first), then CNOTs with control q and target (q + 1) mod qubit_count
+    for q = 0..qubit_count-1 (skipped for a single qubit).
     """
     return _forward(cfg, _layer_matrices(cfg, _checked(cfg, theta)))[1]
 
@@ -136,7 +133,7 @@ def ansatz_gradient(cfg: AnsatzConfig, theta, cotangent) -> np.ndarray:
     theta = _checked(cfg, theta)
     layers = _layer_matrices(cfg, theta)
     kets, psi = _forward(cfg, layers)
-    ring = _ring_gather(cfg.qubit_count, cfg.entangle_range)
+    ring = _ring_gather(cfg.qubit_count)
     adjoints = layers.conj()
     cotangents = np.empty_like(kets)  # the cotangent at each rotated state
     mu = np.asarray(cotangent(psi), dtype=complex)
@@ -168,7 +165,7 @@ def ansatz_gradient(cfg: AnsatzConfig, theta, cotangent) -> np.ndarray:
 
 
 def expectation(state, hamiltonian: PauliSum) -> float:
-    """Re <state|H|state>, evaluated term by term without a dense matrix."""
+    """Re <state|H|state>."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (hamiltonian.dim,):
         raise DimensionMismatch(

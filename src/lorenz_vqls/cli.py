@@ -2,7 +2,8 @@
 
 All commands write a CSV (floats at 17 significant digits, so files
 round-trip doubles exactly) and print a one-line JSON summary to stdout.
-Exit codes: 0 success, 1 usage/config/IO error, 2 numerical divergence.
+Exit codes: 0 success, 1 usage/config/IO error or a system the solver
+rejects as singular or rank-deficient, 2 numerical divergence.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from .analysis import compare_trajectories, condition_sweep, richardson_series
-from .errors import DivergedAt
+from .errors import DegenerateImage, DivergedAt, RankDeficient, SingularMatrix
 from .linalg import pad_to_power_of_two
 from .lorenz import (
     MAX_TIMESTEP,
@@ -80,15 +81,16 @@ def _start(text: str) -> tuple[float, ...]:
     return values
 
 
-def _step_size(text: str) -> float:
+def _step_size(text: str, limit: float = MAX_TIMESTEP) -> float:
     h = float(text)
-    if not 0 < h <= MAX_TIMESTEP:
-        raise argparse.ArgumentTypeError(f"expected a step in (0, {MAX_TIMESTEP}], got {text!r}")
+    if not 0 < h <= limit:
+        raise argparse.ArgumentTypeError(f"expected a step in (0, {limit}], got {text!r}")
     return h
 
 
 def _h_list(text: str) -> tuple[float, ...]:
-    return tuple(_step_size(p) for p in text.split(","))
+    # Richardson also steps each point by 2h
+    return tuple(_step_size(p, MAX_TIMESTEP / 2) for p in text.split(","))
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -466,7 +468,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help
         return exc.code
-    except CliError as exc:
+    except (CliError, SingularMatrix, RankDeficient, DegenerateImage) as exc:
+        # not all of ArithmeticError: an OverflowError is divergence (exit 2)
         print(f"lorenz-vqls: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

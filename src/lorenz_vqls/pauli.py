@@ -1,8 +1,7 @@
 """Weighted tensor products of {I, X, Y, Z}.
 
-Supports decomposing a dense power-of-two matrix into such a sum,
-reconstructing the dense matrix, and applying individual terms or whole sums
-to statevectors without materializing any full matrix.
+Supports decomposing a dense power-of-two matrix into such a sum and
+reconstructing the dense matrix.
 """
 from __future__ import annotations
 
@@ -34,34 +33,6 @@ def pauli_matrix(label: str) -> np.ndarray:
         out = np.kron(out, _SINGLE[ch])
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def _term_action(label: str):
-    """(gather, phase) arrays such that P @ v == phase * v[gather].
-
-    X and Y flip the qubit's bit in the amplitude index; Z contributes
-    (-1)^bit; Y contributes an extra factor i per source bit.  Qubit 0 is the
-    most significant bit of the index.
-    """
-    n = len(label)
-    dim = 1 << n
-    idx = np.arange(dim)
-    flip = 0
-    phase = np.ones(dim, dtype=complex)
-    for q, ch in enumerate(label):
-        bit = (idx >> (n - 1 - q)) & 1
-        if ch in "XY":
-            flip |= 1 << (n - 1 - q)
-        if ch == "Y":
-            phase = phase * (1j * (1 - 2 * bit))
-        elif ch == "Z":
-            phase = phase * (1 - 2 * bit)
-    gather = idx ^ flip
-    out_phase = phase[gather]
-    gather.setflags(write=False)
-    out_phase.setflags(write=False)
-    return gather, out_phase
 
 
 def _check_label(label: str, n: int) -> None:
@@ -109,42 +80,18 @@ class PauliSum:
         # real coefficients on the (Hermitian) Pauli basis <=> Hermitian sum
         return all(abs(t.coeff.imag) <= COEFF_CUTOFF for t in self.terms)
 
-    @cached_property
-    def _action(self):
-        gathers = np.empty((len(self.terms), self.dim), dtype=np.intp)
-        phases = np.empty((len(self.terms), self.dim), dtype=complex)
-        for i, t in enumerate(self.terms):
-            g, p = _term_action(t.label)
-            gathers[i] = g
-            phases[i] = t.coeff * p
-        return gathers, phases
-
     def apply(self, v) -> np.ndarray:
-        """Matrix-free sum of per-term actions, accumulated in label order."""
+        """The dense sum applied to `v`."""
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.dim,):
             raise DimensionMismatch(f"expected vector of length {self.dim}")
-        if not self.terms:
-            return np.zeros(self.dim, dtype=complex)
-        gathers, phases = self._action
-        return (phases * v[gathers]).sum(axis=0)
+        return reconstruct(self) @ v
 
     def dump(self) -> str:
         """Text form: one `LABEL re im` line per term, lexicographic order."""
         return "".join(
             f"{t.label} {t.coeff.real:.17g} {t.coeff.imag:.17g}\n" for t in self.terms
         )
-
-
-def apply_term(term: PauliTerm, v) -> np.ndarray:
-    """reconstruct({term}) @ v in O(2^n) via bit manipulation."""
-    v = np.asarray(v, dtype=complex)
-    gather, phase = _term_action(term.label)
-    if v.shape != gather.shape:
-        raise DimensionMismatch(
-            f"vector length {v.shape} incompatible with label {term.label!r}"
-        )
-    return term.coeff * (phase * v[gather])
 
 
 def decompose(m) -> PauliSum:

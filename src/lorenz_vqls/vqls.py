@@ -8,7 +8,6 @@ rescaled, sign-corrected classical solution back out of the optimized state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -16,9 +15,13 @@ from .circuit import AnsatzConfig, ansatz_gradient, run_ansatz
 from .circuit import expectation  # noqa: F401  (bench/spans.py traces this name)
 from .errors import DegenerateImage, NotNormalized, ZeroRightHandSide
 from .linalg import _square, _vector, num_qubits
-from .pauli import PauliSum, decompose
+from .pauli import decompose  # noqa: F401  (bench/spans.py traces this name)
 
 ZERO_RHS_TOL = 1e-14
+# Stop launching further restarts once the best final cost is at or
+# below this; restarts exist to escape bad initializations, and a run
+# this converged cannot be improved meaningfully.
+ACCEPT_COST = 1e-7
 
 
 @dataclass(frozen=True)
@@ -33,18 +36,14 @@ class VqlsConfig:
     layer_count: int = 5
     restarts: int = 10
     seed: int = 0
-    # Stop launching further restarts once the best final cost is at or
-    # below this; restarts exist to escape bad initializations, and a run
-    # this converged cannot be improved meaningfully.
-    accept_cost: float = 1e-7
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.conv_tol <= 0:
-            raise ValueError("conv_tol must be > 0")
-        if self.stepsize <= 0:
-            raise ValueError("stepsize must be > 0")
+        if not (np.isfinite(self.conv_tol) and self.conv_tol > 0):
+            raise ValueError(f"conv_tol must be finite and > 0, got {self.conv_tol}")
+        if not (np.isfinite(self.stepsize) and self.stepsize > 0):
+            raise ValueError(f"stepsize must be finite and > 0, got {self.stepsize}")
         if self.layer_count < 1:
             raise ValueError("layer_count must be >= 1")
         if self.restarts < 1:
@@ -60,11 +59,6 @@ class VqlsProblem:
     @property
     def qubit_count(self) -> int:
         return num_qubits(self.a.shape[0])
-
-    @cached_property
-    def hamiltonian(self) -> PauliSum:
-        """Pauli decomposition of `cost_hamiltonian`; the solver never needs it."""
-        return decompose(cost_hamiltonian(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
         total += iterations
         if best is None or final < best[1]:
             best = (theta, final, initial, iterations)
-        if best[1] <= config.accept_cost:
+        if best[1] <= ACCEPT_COST:
             break
     theta, final, initial, iterations = best
     solution, scale, sign = extract_solution(problem, ansatz, theta)

@@ -102,6 +102,11 @@ def test_richardson_halving_ratio():
     assert 1.5 <= coarse.total / fine.total <= 2.5
 
 
+def test_richardson_series_rejects_h_without_room_for_2h():
+    with pytest.raises(ValueError, match=r"h must lie in \(0, 0\.25\], got 0\.3"):
+        richardson_series(START, CLASSIC, 0.3, 5)
+
+
 def test_richardson_series_fixed_point():
     wing = fixed_points(CLASSIC)[1]
     series = richardson_series(wing, CLASSIC, 1e-3, 20, solver="explicit")

@@ -153,19 +153,18 @@ def test_gate_applications_preserve_norm():
 def test_run_ansatz_matches_gate_by_gate_oracle():
     # same circuit built from individual R_Z/R_Y/CNOT applications
     rng = np.random.default_rng(3)
-    for entangle in (1, 2):
-        cfg = AnsatzConfig(qubit_count=3, layer_count=3, entangle_range=entangle)
-        theta = rng.uniform(0, 2 * np.pi, cfg.shape)
-        psi = np.zeros(8, dtype=complex)
-        psi[0] = 1.0
-        for layer in theta:
-            for q, (alpha, beta, gamma) in enumerate(layer):
-                psi = apply_rz(psi, q, alpha)
-                psi = apply_ry(psi, q, beta)
-                psi = apply_rz(psi, q, gamma)
-            for q in range(3):
-                psi = apply_cnot(psi, q, (q + entangle) % 3)
-        assert np.max(np.abs(run_ansatz(cfg, theta) - psi)) <= 1e-13
+    cfg = AnsatzConfig(qubit_count=3, layer_count=3)
+    theta = rng.uniform(0, 2 * np.pi, cfg.shape)
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = 1.0
+    for layer in theta:
+        for q, (alpha, beta, gamma) in enumerate(layer):
+            psi = apply_rz(psi, q, alpha)
+            psi = apply_ry(psi, q, beta)
+            psi = apply_rz(psi, q, gamma)
+        for q in range(3):
+            psi = apply_cnot(psi, q, (q + 1) % 3)
+    assert np.max(np.abs(run_ansatz(cfg, theta) - psi)) <= 1e-13
 
 
 def test_run_ansatz_is_deterministic():
@@ -231,7 +230,5 @@ def test_ansatz_config_validation():
         AnsatzConfig(qubit_count=0, layer_count=1)
     with pytest.raises(ValueError):
         AnsatzConfig(qubit_count=3, layer_count=0)
-    with pytest.raises(ValueError):
-        AnsatzConfig(qubit_count=3, layer_count=1, entangle_range=3)
     # single qubit skips entanglement entirely
     AnsatzConfig(qubit_count=1, layer_count=1)

@@ -49,14 +49,19 @@ def test_simulate_attractor_preset(tmp_path, capsys):
     assert last_json(stdout)["rows"] == 2001
 
 
-def test_simulate_divergence_marker(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["simulate", "--solver", "explicit"],
+    ["compare", "--self-compare"],
+], ids=lambda command: command[0])
+def test_simulate_divergence_marker(tmp_path, capsys, command):
     out = tmp_path / "blowup.csv"
     code, stdout, _ = run_cli(
-        capsys, "simulate", "--start", "30,-40,10", "--h", "0.4", "--steps", "100",
-        "--solver", "explicit", "--out", str(out),
+        capsys, *command, "--start", "30,-40,10", "--h", "0.4", "--steps", "100",
+        "--out", str(out),
     )
     assert code == 2
     header, rows, comments = read_table(out)
+    assert header == ["step", "t", "x", "y", "z"]
     summary = last_json(stdout)
     n = summary["diverged_at"]
     assert isinstance(n, int) and 1 <= n <= 100
@@ -162,6 +167,14 @@ def test_richardson_divergence_marker(tmp_path, capsys):
     summary = last_json(stdout)
     assert summary["diverged_at_h"] == 0.25
     assert list(summary["mean_total"]) == ["0.001"]
+
+
+def test_richardson_h_list_leaves_room_for_the_2h_step(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "richardson", "--h-list", "0.3", "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 1
+    assert "0.3" in err and "0.6" not in err
 
 
 def test_richardson_malformed_h_list(tmp_path, capsys):
@@ -372,8 +385,16 @@ def test_unwritable_output_exits_one(capsys):
     ["simulate", "--start", "inf,0,0"],
     ["richardson", "--h-list", "0.01", "--start", "nan,0,0"],
     ["richardson", "--h-list", "0.01,0.6"],
+    ["simulate", "--solver", "vqls", "--seed", "0", "--tol", "nan"],
+    ["simulate", "--solver", "vqls", "--seed", "0", "--stepsize", "nan"],
+    ["cond-sweep", "--sigma", "1e8", "--h-min", "0.01", "--h-max", "0.1", "--count", "3"],
+    ["simulate", "--sigma", "1e10", "--steps", "3"],
 ], ids=" ".join)
-def test_bad_inputs_exit_one(tmp_path, capsys, argv):
+def test_bad_inputs_exit_one(tmp_path, capsys, monkeypatch, argv):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a bad input reached the solver's descent")
+
+    monkeypatch.setattr("lorenz_vqls.lorenz.optimize", no_descent)
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert err.startswith("lorenz-vqls: error: ")

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from itertools import product
 
 from lorenz_vqls import (
     LorenzParams,
     PauliSum,
     PauliTerm,
     State3,
-    apply_term,
     build_nonlinear_system,
     build_rhs,
     cost_hamiltonian,
@@ -15,7 +13,6 @@ from lorenz_vqls import (
     reconstruct,
 )
 from lorenz_vqls.errors import NotPowerOfTwo
-from lorenz_vqls.pauli import pauli_matrix
 
 
 def terms_as_dict(s: PauliSum) -> dict:
@@ -91,45 +88,12 @@ def test_parseval_norm_identity():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_apply_term_identity_label():
-    rng = np.random.default_rng(1)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    out = apply_term(PauliTerm("III", 1.0), v)
-    assert np.allclose(out, v, atol=1e-15)
-
-
-def test_apply_term_x_flip():
-    out = apply_term(PauliTerm("X", 1.0), np.array([1.0, 0.0]))
-    assert np.allclose(out, [0.0, 1.0], atol=1e-15)
-
-
-def test_apply_term_zy_matches_dense():
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    term = PauliTerm("ZY", 1.0)
-    dense = reconstruct(PauliSum((term,), 2)) @ v
-    assert np.max(np.abs(apply_term(term, v) - dense)) <= 1e-13
-
-
-def test_apply_term_all_two_qubit_labels_match_dense():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    for chars in product("IXYZ", repeat=2):
-        label = "".join(chars)
-        coeff = complex(rng.normal(), rng.normal())
-        term = PauliTerm(label, coeff)
-        dense = coeff * pauli_matrix(label) @ v
-        assert np.max(np.abs(apply_term(term, v) - dense)) <= 1e-13
-
-
 def test_sum_apply_matches_per_term_loop():
     rng = np.random.default_rng(4)
     m = rng.normal(size=(8, 8))
     m = m + m.T
     s = decompose(m)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    looped = sum(apply_term(t, v) for t in s.terms)
-    assert np.max(np.abs(s.apply(v) - looped)) <= 1e-13
     assert np.max(np.abs(s.apply(v) - m @ v)) <= 1e-11
 
 

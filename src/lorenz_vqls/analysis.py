@@ -25,8 +25,6 @@ from .lorenz import (
 @dataclass(frozen=True)
 class ErrorSeries:
     values: np.ndarray
-    h: float
-    description: str
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,6 @@ class RichardsonEstimate:
     e_x: float
     e_y: float
     e_z: float
-    h: float
 
     @property
     def total(self) -> float:
@@ -61,16 +58,9 @@ def compare_trajectories(classical: Trajectory, quantum: Trajectory) -> ErrorSer
         raise ValueError("trajectories use different step sizes")
     if not np.array_equal(classical.states[0], quantum.states[0]):
         raise ValueError("trajectories start from different states")
-    values = np.array(
-        [
-            relative_error(classical.state_at(n), quantum.state_at(n))
-            for n in range(1, len(classical))
-        ]
-    )
+    pairs = zip(classical.states[1:], quantum.states[1:])
     return ErrorSeries(
-        values=values,
-        h=classical.h,
-        description=f"{classical.solver} vs {quantum.solver}",
+        np.array([relative_error(State3.from_array(c), State3.from_array(q)) for c, q in pairs])
     )
 
 
@@ -83,7 +73,7 @@ def _estimate(common: State3, fine2: State3, coarse: State3, h: float):
     grad_fine = (fine2.as_array() - s0) / (2 * h)
     grad_coarse = (coarse.as_array() - s0) / (2 * h)
     e = grad_coarse - grad_fine
-    return RichardsonEstimate(float(e[0]), float(e[1]), float(e[2]), h)
+    return RichardsonEstimate(float(e[0]), float(e[1]), float(e[2]))
 
 
 def richardson(

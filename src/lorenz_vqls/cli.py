@@ -2,8 +2,8 @@
 
 All commands write a CSV (floats at 17 significant digits, so files
 round-trip doubles exactly) and print a one-line JSON summary to stdout.
-Exit codes: 0 success, 1 usage/config/IO error or a system the solver
-rejects as singular or rank-deficient, 2 numerical divergence.
+Exit codes: 0 success, 1 usage/config/IO error, input the library rejects
+or a system it finds singular or rank-deficient, 2 numerical divergence.
 """
 from __future__ import annotations
 
@@ -210,43 +210,34 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _lorenz_params(args: argparse.Namespace) -> LorenzParams:
-    try:
-        return LorenzParams(sigma=args.sigma, rho=args.rho, beta=args.beta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return LorenzParams(sigma=args.sigma, rho=args.rho, beta=args.beta)
 
 
 def _vqls_config(args: argparse.Namespace) -> VqlsConfig:
     if args.seed is None:
         raise CliError("--seed is required for vqls runs")
-    try:
-        return VqlsConfig(
-            max_iterations=args.max_iter,
-            conv_tol=args.tol,
-            stepsize=args.stepsize,
-            layer_count=args.layers,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return VqlsConfig(
+        max_iterations=args.max_iter,
+        conv_tol=args.tol,
+        stepsize=args.stepsize,
+        layer_count=args.layers,
+        restarts=args.restarts,
+        seed=args.seed,
+    )
 
 
 def _run_trajectory(args: argparse.Namespace, solver: str) -> Trajectory:
     params = _lorenz_params(args)
     vqls_cfg = _vqls_config(args) if solver == "vqls" else None
-    try:
-        return trajectory(
-            State3(*args.start),
-            params,
-            args.h,
-            args.steps,
-            solver=solver,
-            vqls_config=vqls_cfg,
-            warm_start=args.warm_start,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return trajectory(
+        State3(*args.start),
+        params,
+        args.h,
+        args.steps,
+        solver=solver,
+        vqls_config=vqls_cfg,
+        warm_start=args.warm_start,
+    )
 
 
 def _write_lines(path: str, lines) -> None:
@@ -259,6 +250,17 @@ def _write_lines(path: str, lines) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
+def _solver_cells(traj: Trajectory, n: int) -> list[str]:
+    """Row n's cost, iterations and residual: blank on row 0 and without
+    VQLS outcomes, zeros where the origin shortcut solved nothing."""
+    if traj.diagnostics is None or n == 0:
+        return ["", "", ""]
+    out = traj.diagnostics[n - 1]
+    if out is None:
+        return ["0", "0", "0"]
+    return [fmt(out.final_cost), str(out.iterations_used), fmt(out.residual)]
+
+
 def _write_trajectory(path: str, traj: Trajectory, diverged_at: int | None) -> None:
     """One row per state, with VQLS diagnostics when there are any; a run
     that diverged keeps its rows and ends with a marker line."""
@@ -268,11 +270,7 @@ def _write_trajectory(path: str, traj: Trajectory, diverged_at: int | None) -> N
     for n, row in enumerate(traj.states):
         fields = [str(n), fmt(n * traj.h), fmt(row[0]), fmt(row[1]), fmt(row[2])]
         if diagnostics:
-            if n == 0:
-                fields += ["", "", ""]
-            else:
-                d = traj.diagnostics[n - 1]
-                fields += [fmt(d.cost), str(d.iterations), fmt(d.residual)]
+            fields += _solver_cells(traj, n)
         lines.append(",".join(fields))
     if diverged_at is not None:
         lines.append(f"# diverged at step {diverged_at}")
@@ -314,17 +312,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         c = reference.states[n]
         q = other.states[n]
         rel = 0.0 if n == 0 else series.values[n - 1]
+        cost, _, residual = _solver_cells(other, n)
         fields = [
             str(n), fmt(n * reference.h),
             fmt(c[0]), fmt(c[1]), fmt(c[2]),
             fmt(q[0]), fmt(q[1]), fmt(q[2]),
-            fmt(rel),
+            fmt(rel), cost, residual,
         ]
-        if other.diagnostics is not None and n > 0:
-            d = other.diagnostics[n - 1]
-            fields += [fmt(d.cost), fmt(d.residual)]
-        else:
-            fields += ["", ""]
         lines.append(",".join(fields))
     _write_lines(out, lines)
     print(json.dumps({
@@ -355,8 +349,6 @@ def cmd_richardson(args: argparse.Namespace) -> int:
                 solver=solver, vqls_config=vqls_cfg,
                 warm_start=args.warm_start,
             )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
         except OverflowError:
             # keep the rows of the h values that finished, mark, exit 2
             lines.append(f"# diverged at h {fmt(h)}")
@@ -399,12 +391,9 @@ def cmd_cond_sweep(args: argparse.Namespace) -> int:
 
 def _parse_matrix_entry(token: str) -> complex:
     try:
-        value = complex(float(token))
+        value = complex(token)
     except ValueError:
-        try:
-            value = complex(token)
-        except ValueError:
-            raise CliError(f"bad matrix entry {token!r}") from None
+        raise CliError(f"bad matrix entry {token!r}") from None
     if not np.isfinite(value):
         raise CliError(f"matrix entry {token!r} is not finite")
     return value
@@ -439,12 +428,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 )
             matrix, _ = pad_to_power_of_two(matrix, np.zeros(n))
             padded_to = matrix.shape[0]
-    try:
-        if source == "lorenz-HG":
-            matrix = cost_hamiltonian(matrix, build_rhs(State3(*args.start)))
-        total = decompose(matrix)
-    except ValueError as exc:  # includes NotPowerOfTwo and ZeroRightHandSide
-        raise CliError(str(exc)) from None
+    if source == "lorenz-HG":
+        matrix = cost_hamiltonian(matrix, build_rhs(State3(*args.start)))
+    total = decompose(matrix)
     _write_lines(out, total.dump().splitlines())
     error = float(np.max(np.abs(reconstruct(total) - matrix))) if total.terms else float(
         np.max(np.abs(matrix))
@@ -468,7 +454,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help
         return exc.code
-    except (CliError, SingularMatrix, RankDeficient, DegenerateImage) as exc:
+    except (CliError, ValueError, SingularMatrix, RankDeficient, DegenerateImage) as exc:
         # not all of ArithmeticError: an OverflowError is divergence (exit 2)
         print(f"lorenz-vqls: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,7 @@ class RankDeficient(ArithmeticError):
 
 
 class ZeroRightHandSide(ValueError):
-    """Right-hand side has numerically zero norm, so no unit state exists."""
+    """Right-hand side has zero norm, so no unit state exists."""
 
 
 class DegenerateImage(ArithmeticError):

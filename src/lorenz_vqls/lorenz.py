@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,25 +54,16 @@ class State3:
         return cls(float(x), float(y), float(z))
 
 
-class StepDiagnostics(NamedTuple):
-    cost: float
-    iterations: int
-    residual: float
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    params: LorenzParams
     h: float
     states: np.ndarray  # shape (steps + 1, 3); row n is the state at time n*h
-    solver: str
-    diagnostics: tuple[StepDiagnostics, ...] | None = None
+    # VQLS runs only: step n's outcome at index n - 1, None where the origin
+    # shortcut solved nothing
+    diagnostics: tuple[VqlsOutcome | None, ...] | None = None
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def state_at(self, n: int) -> State3:
-        return State3.from_array(self.states[n])
 
 
 def _check_h(h: float, allow_zero: bool = False) -> float:
@@ -225,7 +215,7 @@ def trajectory(
     vqls_config: VqlsConfig | None = None,
     warm_start: bool = True,
 ) -> Trajectory:
-    """Integrate `steps` steps, recording every state and solver diagnostic.
+    """Integrate `steps` steps, recording every state and VQLS outcome.
 
     With `warm_start`, each variational solve starts restart 0 from the
     previous step's optimized angles.  Raises DivergedAt (carrying the
@@ -237,16 +227,10 @@ def trajectory(
     try:
         for _, state, out in march(start, params, h, steps, solver, vqls_config, warm_start):
             states.append(state.as_array())
-            if solver == "vqls":  # zeros where the origin shortcut solved nothing
-                diagnostics.append(
-                    StepDiagnostics(0.0, 0, 0.0) if out is None
-                    else StepDiagnostics(out.final_cost, out.iterations_used, out.residual)
-                )
+            diagnostics.append(out)
     except OverflowError:
         diverged = True
-    traj = Trajectory(
-        params, h, np.array(states), solver, tuple(diagnostics) if solver == "vqls" else None
-    )
+    traj = Trajectory(h, np.array(states), tuple(diagnostics) if solver == "vqls" else None)
     if diverged:
         raise DivergedAt(len(states), traj)
     return traj

@@ -104,8 +104,8 @@ def decompose(m) -> PauliSum:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     n = num_qubits(m.shape[0])
-    if n > 6:
-        raise ValueError("decomposition limited to 6 qubits")
+    if not 1 <= n <= 6:
+        raise ValueError(f"decomposition needs 1 to 6 qubits, got {n}")
     dim = m.shape[0]
     terms = []
     for chars in product(ALPHABET, repeat=n):

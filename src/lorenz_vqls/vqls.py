@@ -17,7 +17,6 @@ from .errors import DegenerateImage, NotNormalized, ZeroRightHandSide
 from .linalg import _square, _vector, num_qubits
 from .pauli import decompose  # noqa: F401  (bench/spans.py traces this name)
 
-ZERO_RHS_TOL = 1e-14
 # Stop launching further restarts once the best final cost is at or
 # below this; restarts exist to escape bad initializations, and a run
 # this converged cannot be improved meaningfully.
@@ -48,6 +47,8 @@ class VqlsConfig:
             raise ValueError("layer_count must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class VqlsOutcome:
     descents: int  # restarts run, restart 0 included
     solution: np.ndarray
     residual: float
-    scale: float
     sign: int
 
 
@@ -79,7 +79,7 @@ def _unit_rhs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = _square(np.asarray(a))
     b = _vector(np.asarray(b), a.shape[0])
     norm_b = np.linalg.norm(b)
-    if norm_b < ZERO_RHS_TOL:
+    if norm_b == 0:
         raise ZeroRightHandSide("right-hand side has zero norm")
     return a, b, b / norm_b
 
@@ -183,7 +183,7 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
         if best[1] <= ACCEPT_COST:
             break
     theta, final, initial, iterations = best
-    solution, scale, sign = extract_solution(problem, ansatz, theta)
+    solution, _, sign = extract_solution(problem, ansatz, theta)
     residual = float(
         np.linalg.norm(problem.a @ solution - problem.b) / np.linalg.norm(problem.b)
     )
@@ -196,7 +196,6 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
         descents=r + 1,
         solution=solution,
         residual=residual,
-        scale=scale,
         sign=sign,
     )
 

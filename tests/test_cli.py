@@ -22,18 +22,26 @@ def last_json(stdout):
     return json.loads(lines[-1])
 
 
-def test_simulate_zero_start(tmp_path, capsys):
+@pytest.mark.parametrize("solver", [["explicit"], ["vqls", "--seed", "0"]], ids=lambda s: s[0])
+def test_simulate_zero_start(tmp_path, capsys, solver):
     out = tmp_path / "zero.csv"
     code, stdout, _ = run_cli(
         capsys, "simulate", "--start", "0,0,0", "--steps", "5", "--h", "0.01",
-        "--solver", "explicit", "--out", str(out),
+        "--solver", *solver, "--out", str(out),
     )
     assert code == 0
     header, rows, comments = read_table(out)
-    assert header == ["step", "t", "x", "y", "z"]
+    assert header[:5] == ["step", "t", "x", "y", "z"]
     assert len(rows) == 6 and not comments
     for row in rows:
-        assert row[2:] == ["0", "0", "0"]
+        assert row[2:5] == ["0", "0", "0"]
+    if solver[0] == "vqls":  # the origin shortcut solves nothing: zero cells
+        assert header[5:] == ["cost", "iterations", "residual"]
+        assert rows[0][5:] == ["", "", ""]
+        for row in rows[1:]:
+            assert row[5:] == ["0", "0", "0"]
+    else:
+        assert len(header) == 5
     summary = last_json(stdout)
     assert summary["command"] == "simulate" and summary["diverged_at"] is None
 
@@ -276,6 +284,14 @@ def test_decompose_rejects_non_finite_entries(tmp_path, capsys, text):
     assert "not finite" in err
 
 
+def test_decompose_one_by_one_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("5\n")
+    code, _, err = run_cli(capsys, "decompose", str(path), "--out", str(tmp_path / "p.txt"))
+    assert code == 1
+    assert err == "lorenz-vqls: error: decomposition needs 1 to 6 qubits, got 0\n"
+
+
 def test_decompose_unreadable_file(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "decompose", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")
@@ -389,6 +405,7 @@ def test_unwritable_output_exits_one(capsys):
     ["simulate", "--solver", "vqls", "--seed", "0", "--stepsize", "nan"],
     ["cond-sweep", "--sigma", "1e8", "--h-min", "0.01", "--h-max", "0.1", "--count", "3"],
     ["simulate", "--sigma", "1e10", "--steps", "3"],
+    ["simulate", "--solver", "vqls", "--seed", "-1", "--steps", "1"],
 ], ids=" ".join)
 def test_bad_inputs_exit_one(tmp_path, capsys, monkeypatch, argv):
     def no_descent(*args, **kwargs):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from lorenz_vqls import (
     LorenzParams,
     State3,
+    VqlsConfig,
+    VqlsOutcome,
     build_block_system,
     build_linear_step,
     build_nonlinear_system,
@@ -180,6 +182,26 @@ def test_step_solve_dispatch():
         step_solve(origin, CLASSIC, 0.01, solver="magic")
     stepped, outcome = step_solve(signed_origin, CLASSIC, 0.01, solver="vqls")
     assert stepped is signed_origin and outcome is None
+
+
+def test_step_solve_vqls_tiny_right_hand_side():
+    # the normalized problem does not depend on the scale of b
+    state = State3(1e-15, -2e-15, 4e-15)
+    stepped, outcome = step_solve(state, CLASSIC, 5e-3, "vqls", VqlsConfig(seed=0))
+    assert outcome.residual <= 1e-3
+    direct, _ = step_solve(state, CLASSIC, 5e-3, "direct")
+    error = np.linalg.norm(stepped.as_array() - direct.as_array())
+    assert error <= 1e-3 * np.linalg.norm(direct.as_array())
+
+
+def test_trajectory_keeps_vqls_outcomes():
+    fast = VqlsConfig(max_iterations=3, restarts=1, layer_count=1, seed=0)
+    traj = trajectory(State3(1.0, -2.0, 4.0), CLASSIC, 5e-3, 2, "vqls", fast)
+    assert len(traj.diagnostics) == 2
+    assert all(isinstance(out, VqlsOutcome) for out in traj.diagnostics)
+    origin = trajectory(State3(0.0, 0.0, 0.0), CLASSIC, 5e-3, 2, "vqls", fast)
+    assert origin.diagnostics == (None, None)
+    assert trajectory(State3(1.0, -2.0, 4.0), CLASSIC, 5e-3, 2).diagnostics is None
 
 
 def test_trajectory_attractor_stays_bounded():

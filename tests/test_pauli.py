@@ -44,6 +44,9 @@ def test_decompose_rejects_bad_dimensions():
         decompose(np.eye(3))
     with pytest.raises(NotPowerOfTwo):
         decompose(np.eye(6))
+    for dim in (1, 128):  # 0 and 7 qubits
+        with pytest.raises(ValueError, match="1 to 6 qubits"):
+            decompose(np.eye(dim))
 
 
 def test_reconstruct_identity():

@@ -365,6 +365,8 @@ def test_config_validation():
             VqlsConfig(stepsize=bad)
     with pytest.raises(ValueError):
         VqlsConfig(restarts=0)
+    with pytest.raises(ValueError, match="seed"):
+        VqlsConfig(seed=-1)
 
 
 def test_cost_hamiltonian_rejects_zero_b():

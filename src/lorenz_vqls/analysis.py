@@ -15,11 +15,12 @@ from .lorenz import (
     State3,
     Trajectory,
     VqlsConfig,
+    _stepper,
     build_nonlinear_system,
     march,
-    step_explicit,  # unused here; bench/spans.py hooks this name
-    step_solve,
 )
+from .lorenz import step_explicit  # noqa: F401  (bench/spans.py traces this name)
+from .lorenz import step_solve  # noqa: F401  (bench/spans.py traces this name)
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,11 @@ def richardson_series(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     fine = march(start, params, h, steps + 1, solver, vqls_config, warm_start)
+    coarse_step = _stepper(params, 2 * h, solver, vqls_config)
     theta_init, fine1, _ = next(fine)
     point, estimates = start, []
     for next_init, fine2, _ in fine:
-        coarse, _ = step_solve(point, params, 2 * h, solver, vqls_config, theta_init)
+        coarse, _ = coarse_step(point, theta_init)
         estimates.append(_estimate(point, fine2, coarse, h))
         point, fine1, theta_init = fine1, fine2, next_init
     return estimates

@@ -6,9 +6,10 @@ robustness is preferred over asymptotic speed.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import DimensionMismatch, NotPowerOfTwo, RankDeficient, SingularMatrix
 
@@ -38,10 +39,15 @@ def _vector(b, length=None) -> np.ndarray:
     return b
 
 
-def solve_dense(a, b) -> np.ndarray:
-    """Solve ``a @ w = b`` by LU factorization with partial pivoting."""
+def factor_dense(a) -> Callable[[np.ndarray], np.ndarray]:
+    """LU-factor ``a`` with partial pivoting; return ``solve(b)`` for ``a @ w = b``.
+
+    The matrix checks and the pivot check run here, once.  ``solve`` takes a
+    finite vector of matching length and does not check it; a vector of the
+    factors' dtype goes straight to LAPACK ``getrs``, any other through
+    ``lu_solve``.
+    """
     a = _square(a)
-    b = _vector(b, a.shape[0])
     with warnings.catch_warnings():
         # our own pivot check below supersedes scipy's exact-zero warning
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -49,7 +55,21 @@ def solve_dense(a, b) -> np.ndarray:
     tol = PIVOT_RTOL * np.linalg.norm(a)
     if np.abs(np.diag(lu)).min() <= tol:
         raise SingularMatrix(f"pivot at or below {tol:.3e}")
-    return lu_solve((lu, piv), b, check_finite=False)
+    getrs, = get_lapack_funcs(("getrs",), (lu,))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        if b.dtype != lu.dtype:
+            return lu_solve((lu, piv), b, check_finite=False)
+        return getrs(lu, piv, b)[0]
+
+    return solve
+
+
+def solve_dense(a, b) -> np.ndarray:
+    """Solve ``a @ w = b`` by LU factorization with partial pivoting."""
+    a = _square(a)
+    b = _vector(b, a.shape[0])
+    return factor_dense(a)(b)
 
 
 def condition_number(m) -> float:

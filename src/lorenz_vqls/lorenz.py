@@ -4,16 +4,25 @@ A forward-Euler step is either taken explicitly or recovered as entries 4-6
 of the solution of an 8x8 linear system whose unknown vector carries the
 current state, the next state, and the products x*z and x*y.  The products
 are known current-state quantities, so the per-step system stays linear.
+
+The system matrix is A = I + N with N @ N == 0 exactly: N's nonzero columns
+(0-2, 6, 7) meet only its zero rows.  So A^-1 = I - N, and a direct step
+equals explicit Euler in exact arithmetic; in floating point the two agree to
+about 1e-10.  The direct solver still LU-factors A, because the paper's
+classical baseline is a linear solve.  The matrix depends only on (params, h),
+so a run factors it once and each step costs one LAPACK getrs call.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergedAt
-from .linalg import solve_dense
+from .linalg import factor_dense
+from .linalg import solve_dense  # noqa: F401  (bench/spans.py traces this name)
 from .vqls import VqlsConfig, VqlsOutcome, build_problem, optimize
 
 MAX_TIMESTEP = 0.5
@@ -42,7 +51,7 @@ class State3:
     z: float
 
     def __post_init__(self):
-        if not all(np.isfinite([self.x, self.y, self.z])):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError("state components must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -68,7 +77,7 @@ class Trajectory:
 
 def _check_h(h: float, allow_zero: bool = False) -> float:
     h = float(h)
-    if not np.isfinite(h) or h > MAX_TIMESTEP or (h < 0 if allow_zero else h <= 0):
+    if not math.isfinite(h) or h > MAX_TIMESTEP or (h < 0 if allow_zero else h <= 0):
         bound = "[0" if allow_zero else "(0"
         raise ValueError(f"step size must lie in {bound}, {MAX_TIMESTEP}], got {h}")
     return h
@@ -130,8 +139,8 @@ def build_rhs(state: State3) -> np.ndarray:
 
 
 def _guarded(x: float, y: float, z: float) -> State3:
-    values = (x, y, z)
-    if not all(np.isfinite(values)) or max(abs(v) for v in values) > OVERFLOW_LIMIT:
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (abs(x) <= OVERFLOW_LIMIT and abs(y) <= OVERFLOW_LIMIT and abs(z) <= OVERFLOW_LIMIT):
         raise OverflowError(f"state magnitude exceeded {OVERFLOW_LIMIT:g}")
     return State3(x, y, z)
 
@@ -148,6 +157,46 @@ def step_explicit(state: State3, params: LorenzParams, h: float) -> State3:
     )
 
 
+def _stepper(
+    params: LorenzParams, h: float, solver: str, vqls_config: VqlsConfig | None
+) -> Callable[..., tuple[State3, VqlsOutcome | None]]:
+    """`step_solve` for fixed (params, h, solver): step(state, theta_init).
+
+    The 8x8 matrix, and for "direct" its LU factors, are made on the first
+    step that leaves the origin and reused by every later step, so a run
+    that never leaves the origin never factors a matrix that may be singular.
+    """
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
+    if solver == "explicit":
+        return lambda state, theta_init: (step_explicit(state, params, h), None)
+    h = _check_h(h)
+    config = vqls_config or VqlsConfig()
+    matrix = solve = None
+
+    def step(state: State3, theta_init) -> tuple[State3, VqlsOutcome | None]:
+        nonlocal matrix, solve
+        if state.x == 0.0 and state.y == 0.0 and state.z == 0.0:
+            return state, None
+        rhs = build_rhs(state)
+        # the state is finite, so only the products x*z and x*y can overflow
+        if not (math.isfinite(rhs[6]) and math.isfinite(rhs[7])):
+            raise OverflowError("right-hand side product x*z or x*y overflowed")
+        if matrix is None:
+            matrix = build_nonlinear_system(params, h)
+        if solver == "direct":
+            if solve is None:
+                solve = factor_dense(matrix)
+            w, outcome = solve(rhs), None
+        else:
+            outcome = optimize(build_problem(matrix, rhs), config, theta_init=theta_init)
+            w = outcome.solution
+        x, y, z = np.real(w[3:6]).tolist()
+        return _guarded(x, y, z), outcome
+
+    return step
+
+
 def step_solve(
     state: State3,
     params: LorenzParams,
@@ -161,26 +210,10 @@ def step_solve(
     "explicit" evaluates the forward-Euler update.  "direct" and "vqls"
     solve the 8x8 embedding, except at the origin: a fixed point with a
     zero right-hand side, returned unchanged.  Returns the next state plus
-    the VQLS outcome (None otherwise).
+    the VQLS outcome (None otherwise).  A step past the overflow guard, or
+    whose right-hand side overflows, raises OverflowError.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
-    if solver == "explicit":
-        return step_explicit(state, params, h), None
-    h = _check_h(h)
-    if state.x == 0.0 and state.y == 0.0 and state.z == 0.0:
-        return state, None
-    matrix = build_nonlinear_system(params, h)
-    rhs = build_rhs(state)
-    if solver == "direct":
-        w = solve_dense(matrix, rhs)
-        outcome = None
-    else:
-        problem = build_problem(matrix, rhs)
-        outcome = optimize(problem, vqls_config or VqlsConfig(), theta_init=theta_init)
-        w = outcome.solution
-    x, y, z = np.real(w[3:6])
-    return _guarded(float(x), float(y), float(z)), outcome
+    return _stepper(params, h, solver, vqls_config)(state, theta_init)
 
 
 def march(
@@ -198,9 +231,10 @@ def march(
     `warm_start`, the optimized angles of the latest variational solve,
     otherwise None.  A step past the overflow guard raises OverflowError.
     """
+    step = _stepper(params, h, solver, vqls_config)
     theta, state = None, start
     for _ in range(steps):
-        state, outcome = step_solve(state, params, h, solver, vqls_config, theta)
+        state, outcome = step(state, theta)
         yield theta, state, outcome
         if warm_start and outcome is not None:
             theta = outcome.theta_opt
@@ -223,10 +257,10 @@ def trajectory(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    states, diagnostics, diverged = [start.as_array()], [], False
+    states, diagnostics, diverged = [(start.x, start.y, start.z)], [], False
     try:
         for _, state, out in march(start, params, h, steps, solver, vqls_config, warm_start):
-            states.append(state.as_array())
+            states.append((state.x, state.y, state.z))
             diagnostics.append(out)
     except OverflowError:
         diverged = True

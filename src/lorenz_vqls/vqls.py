@@ -22,6 +22,9 @@ from .pauli import decompose  # noqa: F401  (bench/spans.py traces this name)
 # this converged cannot be improved meaningfully.
 ACCEPT_COST = 1e-7
 
+# Below this 2-norm the sum of squares may have underflowed.
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+
 
 @dataclass(frozen=True)
 class VqlsConfig:
@@ -75,10 +78,24 @@ class VqlsOutcome:
     sign: int
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of `v`, rescaled by max|v| when the plain one may have underflowed.
+
+    The rescaling only runs below sqrt(tiny), so the value is unchanged at
+    every scale where the plain norm keeps its digits.
+    """
+    norm = np.linalg.norm(v)
+    if norm < _SQRT_TINY:
+        peak = np.max(np.abs(v))
+        if peak > 0:
+            norm = peak * np.linalg.norm(v / peak)
+    return norm
+
+
 def _unit_rhs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = _square(np.asarray(a))
     b = _vector(np.asarray(b), a.shape[0])
-    norm_b = np.linalg.norm(b)
+    norm_b = _norm(b)
     if norm_b == 0:
         raise ZeroRightHandSide("right-hand side has zero norm")
     return a, b, b / norm_b
@@ -132,11 +149,11 @@ def extract_solution(
     image_norm = np.linalg.norm(image)
     if image_norm < 1e-14:
         raise DegenerateImage("matrix maps the ansatz state to zero")
-    scale = float(np.linalg.norm(problem.b) / image_norm)
+    scale = float(_norm(problem.b) / image_norm)
     best = None
     for sign in (1, -1):
         candidate = sign * scale * psi
-        residual = np.linalg.norm(problem.a @ candidate - problem.b)
+        residual = _norm(problem.a @ candidate - problem.b)
         if best is None or residual < best[0]:
             best = (residual, sign, candidate)
     return best[2], scale, best[1]
@@ -184,9 +201,7 @@ def optimize(problem: VqlsProblem, config: VqlsConfig, theta_init=None) -> VqlsO
             break
     theta, final, initial, iterations = best
     solution, _, sign = extract_solution(problem, ansatz, theta)
-    residual = float(
-        np.linalg.norm(problem.a @ solution - problem.b) / np.linalg.norm(problem.b)
-    )
+    residual = float(_norm(problem.a @ solution - problem.b) / _norm(problem.b))
     return VqlsOutcome(
         theta_opt=theta,
         final_cost=final,

@@ -5,6 +5,8 @@ from lorenz_vqls import (
     LorenzParams,
     State3,
     VqlsConfig,
+    build_nonlinear_system,
+    build_rhs,
     compare_trajectories,
     condition_sweep,
     default_h_grid,
@@ -12,6 +14,7 @@ from lorenz_vqls import (
     relative_error,
     richardson,
     richardson_series,
+    solve_dense,
     step_explicit,
     step_solve,
     trajectory,
@@ -93,6 +96,27 @@ def test_richardson_matches_brute_force_formula():
     est_explicit = richardson(START, CLASSIC, h, solver="explicit")
     assert np.abs([est_explicit.e_x, est_explicit.e_y, est_explicit.e_z] - expected).max() <= 1e-12
     assert est.total == pytest.approx(abs(est.e_x) + abs(est.e_y) + abs(est.e_z), abs=1e-15)
+
+
+def test_richardson_series_steps_match_solve_dense_bit_for_bit():
+    # the fine and 2h coarse steppers against a fresh LU solve per step
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        params = LorenzParams(*rng.uniform((0.1, -5.0, 0.1), (20.0, 40.0, 5.0)).tolist())
+        h = 0.25 * (1.0 - float(rng.random()))  # (0, 0.25]
+
+        def solve(state, step_h):
+            a = build_nonlinear_system(params, step_h)
+            return solve_dense(a, build_rhs(State3.from_array(state)))[3:6]
+
+        fine = [rng.uniform(-5, 5, size=3)]
+        for _ in range(3):
+            fine.append(solve(fine[-1], h))
+        estimates = richardson_series(State3.from_array(fine[0]), params, h, 2)
+        for n, est in enumerate(estimates):
+            s0 = fine[n]
+            expected = (solve(s0, 2 * h) - s0) / (2 * h) - (fine[n + 2] - s0) / (2 * h)
+            assert np.array([est.e_x, est.e_y, est.e_z]).tobytes() == expected.tobytes()
 
 
 def test_richardson_halving_ratio():

@@ -77,6 +77,43 @@ def test_simulate_divergence_marker(tmp_path, capsys, command):
     assert len(rows) == n  # states before the failed step are retained
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--solver", "explicit", "--steps", "1"],
+    ["simulate", "--solver", "direct", "--steps", "1"],
+    ["simulate", "--solver", "vqls", "--seed", "0", "--steps", "1"],
+    ["compare", "--self-compare", "--steps", "1"],
+    ["richardson", "--h-list", "0.01", "--steps", "2"],
+], ids=" ".join)
+def test_overflowing_product_is_divergence(tmp_path, capsys, argv):
+    # the start is finite, but its products x*z and x*y overflow
+    out = tmp_path / "blowup.csv"
+    code, stdout, _ = run_cli(
+        capsys, *argv, "--start", "1e160,1e160,1e160", "--out", str(out)
+    )
+    assert code == 2
+    _, rows, comments = read_table(out)
+    summary = last_json(stdout)
+    if argv[0] == "richardson":
+        assert summary["diverged_at_h"] == 0.01
+        assert comments == ["# diverged at h 0.01"] and not rows
+    else:
+        assert summary["diverged_at"] == 1
+        assert comments == ["# diverged at step 1"] and len(rows) == 1
+
+
+def test_origin_run_never_factors_its_matrix(tmp_path, capsys):
+    # sigma = 1e10 makes the matrix numerically singular, but every step of
+    # this run takes the origin shortcut, so the run has nothing to factor
+    out = tmp_path / "origin.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--solver", "direct", "--sigma", "1e10", "--start", "0,0,0",
+        "--steps", "3", "--out", str(out),
+    )
+    assert code == 0
+    _, rows, comments = read_table(out)
+    assert len(rows) == 4 and not comments
+
+
 def test_simulate_vqls_columns(tmp_path, capsys):
     out = tmp_path / "vq.csv"
     code, stdout, _ = run_cli(

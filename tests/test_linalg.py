@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from lorenz_vqls import (
     LorenzParams,
@@ -14,7 +15,7 @@ from lorenz_vqls import (
     solve_dense,
 )
 from lorenz_vqls.errors import DimensionMismatch, RankDeficient, SingularMatrix
-from lorenz_vqls.linalg import num_qubits
+from lorenz_vqls.linalg import factor_dense, num_qubits
 from lorenz_vqls.errors import NotPowerOfTwo
 
 CLASSIC = LorenzParams()
@@ -65,6 +66,35 @@ def test_solve_shape_errors():
         solve_dense(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
         solve_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+
+
+def test_solve_checks_b_before_factoring():
+    # a non-finite b is a ValueError even where the matrix is singular
+    with pytest.raises(ValueError, match="vector"):
+        solve_dense(np.zeros((2, 2)), np.array([np.nan, 0.0]))
+
+
+def test_factor_dense_matches_lu_solve_bit_for_bit():
+    rng = np.random.default_rng(5)
+    a = build_nonlinear_system(CLASSIC, 5e-3)
+    solve, factors = factor_dense(a), lu_factor(a)
+    rhs = [build_rhs(State3(1.0, -2.0, 4.0))] + [rng.normal(size=8) for _ in range(20)]
+    # a complex b against real factors takes lu_solve's own dtype promotion
+    rhs.append(rng.normal(size=8) + 1j * rng.normal(size=8))
+    for b in rhs:
+        assert solve(b).tobytes() == lu_solve(factors, b).tobytes()
+    c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    b = rng.normal(size=5) + 1j * rng.normal(size=5)
+    assert factor_dense(c)(b).tobytes() == lu_solve(lu_factor(c), b).tobytes()
+
+
+def test_factor_dense_checks_the_matrix():
+    with pytest.raises(SingularMatrix):
+        factor_dense(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(DimensionMismatch):
+        factor_dense(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        factor_dense(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_condition_identity():

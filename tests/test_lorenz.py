@@ -19,10 +19,24 @@ from lorenz_vqls import (
     trajectory,
 )
 from lorenz_vqls.errors import DivergedAt
+from lorenz_vqls.lorenz import _stepper, march
 
 CLASSIC = LorenzParams()
 
 finite_coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def random_params(rng) -> LorenzParams:
+    return LorenzParams(
+        sigma=float(rng.uniform(0.1, 20)),
+        rho=float(rng.uniform(-5, 40)),
+        beta=float(rng.uniform(0.1, 5)),
+    )
+
+
+def reference_step(state: State3, params: LorenzParams, h: float) -> np.ndarray:
+    """The next state as a fresh build, check and LU solve of the 8x8 system."""
+    return solve_dense(build_nonlinear_system(params, h), build_rhs(state))[3:6]
 
 
 def test_linear_step_zero_h_is_identity():
@@ -91,15 +105,22 @@ def test_nonlinear_system_classic_entries():
 def test_nonlinear_system_unit_determinant():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        params = LorenzParams(
-            sigma=float(rng.uniform(0.1, 20)),
-            rho=float(rng.uniform(-5, 40)),
-            beta=float(rng.uniform(0.1, 5)),
-        )
+        params = random_params(rng)
         h = float(rng.uniform(0.0, 0.1))
         assert np.linalg.det(build_nonlinear_system(params, h)) == pytest.approx(
             1.0, rel=1e-10
         )
+
+
+def test_nonlinear_system_is_identity_plus_nilpotent():
+    # A = I + N with N @ N == 0, so A^-1 = I - N exactly; the direct solver
+    # still LU-factors A, as the paper's classical baseline does
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        params = random_params(rng)
+        h = float(rng.uniform(0.0, 0.1))
+        n = build_nonlinear_system(params, h) - np.eye(8)
+        assert not (n @ n).any()
 
 
 def test_build_rhs_examples():
@@ -159,6 +180,25 @@ def test_step_solve_direct_matches_explicit():
             assert diff <= 1e-10
 
 
+def test_direct_stepper_matches_solve_dense_bit_for_bit():
+    # one factorization per (params, h) against a fresh solve per step
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        params = random_params(rng)
+        h = 0.25 * (1.0 - float(rng.random()))  # (0, 0.25]
+        step = _stepper(params, h, "direct", None)
+        for _ in range(5):
+            s = State3.from_array(rng.uniform(-25, 25, size=3))
+            stepped, outcome = step(s, None)
+            assert outcome is None
+            assert stepped.as_array().tobytes() == reference_step(s, params, h).tobytes()
+        state = State3.from_array(rng.uniform(-25, 25, size=3))
+        for _, stepped, _ in march(state, params, h, 3):
+            expected = reference_step(state, params, h)
+            assert stepped.as_array().tobytes() == expected.tobytes()
+            state = stepped
+
+
 def test_step_solve_origin_shortcut():
     s, outcome = step_solve(State3(0.0, 0.0, 0.0), CLASSIC, 0.01, solver="vqls")
     assert s == State3(0.0, 0.0, 0.0) and outcome is None
@@ -192,6 +232,24 @@ def test_step_solve_vqls_tiny_right_hand_side():
     direct, _ = step_solve(state, CLASSIC, 5e-3, "direct")
     error = np.linalg.norm(stepped.as_array() - direct.as_array())
     assert error <= 1e-3 * np.linalg.norm(direct.as_array())
+
+
+def test_step_solve_vqls_right_hand_side_below_sqrt_tiny():
+    # every square of b underflows, so its plain 2-norm is 0
+    state = State3(1e-170, -2e-170, 4e-170)
+    stepped, outcome = step_solve(state, CLASSIC, 5e-3, "vqls", VqlsConfig(seed=0))
+    assert 0 < outcome.residual <= 1e-3
+    direct, _ = step_solve(state, CLASSIC, 5e-3, "direct")
+    # compared at unit scale, where the norms keep their digits
+    error = np.linalg.norm((stepped.as_array() - direct.as_array()) * 1e170)
+    assert error <= 1e-3 * np.linalg.norm(direct.as_array() * 1e170)
+
+
+@pytest.mark.parametrize("solver", ["direct", "vqls"])
+def test_step_solve_overflowing_product_is_divergence(solver):
+    # the state is finite, but x*z and x*y are not
+    with pytest.raises(OverflowError):
+        step_solve(State3(1e160, 1e160, 1e160), CLASSIC, 0.01, solver, VqlsConfig(seed=0))
 
 
 def test_trajectory_keeps_vqls_outcomes():

@@ -96,6 +96,14 @@ def test_build_problem_rejects_zero_rhs():
         build_problem(np.eye(8), np.zeros(8))
 
 
+def test_build_problem_normalizes_a_rhs_whose_squares_underflow():
+    a = build_nonlinear_system(CLASSIC, 5e-3)
+    b = build_rhs(State3(1.0, -2.0, 4.0))
+    assert np.linalg.norm(b * 1e-170) == 0.0  # the plain 2-norm underflows
+    tiny = build_problem(a, b * 1e-170)
+    assert np.allclose(tiny.b_unit, build_problem(a, b).b_unit, rtol=1e-15, atol=0)
+
+
 def test_build_problem_rejects_bad_dimension():
     with pytest.raises(NotPowerOfTwo):
         build_problem(np.eye(6), np.ones(6))

@@ -2,7 +2,6 @@
 error estimation by step halving, and condition-number sweeps."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +135,8 @@ def condition_sweep(
         return h, condition_number(a), condition_number(hermitian_dilation(a))
 
     if max_workers is not None and max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(one, h_list))
     return [one(h) for h in h_list]

@@ -244,8 +244,7 @@ def _write_lines(path: str, lines) -> None:
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.write("".join(line + "\n" for line in lines))
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from None
 
@@ -266,12 +265,13 @@ def _write_trajectory(path: str, traj: Trajectory, diverged_at: int | None) -> N
     that diverged keeps its rows and ends with a marker line."""
     diagnostics = traj.diagnostics is not None
     header = "step,t,x,y,z" + (",cost,iterations,residual" if diagnostics else "")
-    lines = [header]
-    for n, row in enumerate(traj.states):
-        fields = [str(n), fmt(n * traj.h), fmt(row[0]), fmt(row[1]), fmt(row[2])]
-        if diagnostics:
-            fields += _solver_cells(traj, n)
-        lines.append(",".join(fields))
+    # "%.17g" % x is fmt(x), and row n's time is the double n * h
+    times = (np.arange(len(traj)) * traj.h).tolist()
+    rows = ["%d,%.17g,%.17g,%.17g,%.17g" % (n, t, *state)
+            for n, (t, state) in enumerate(zip(times, traj.states.tolist()))]
+    if diagnostics:
+        rows = [row + "," + ",".join(_solver_cells(traj, n)) for n, row in enumerate(rows)]
+    lines = [header, *rows]
     if diverged_at is not None:
         lines.append(f"# diverged at step {diverged_at}")
     _write_lines(path, lines)

@@ -1,7 +1,8 @@
 """Dense linear algebra for small real/complex systems.
 
 Everything here is dense and sized for matrices of dimension ~16 and below;
-robustness is preferred over asymptotic speed.
+robustness is preferred over asymptotic speed.  scipy is imported inside
+`factor_dense`, its only user, so runs that factor nothing never load it.
 """
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import warnings
 from collections.abc import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import DimensionMismatch, NotPowerOfTwo, RankDeficient, SingularMatrix
 
@@ -47,6 +47,8 @@ def factor_dense(a) -> Callable[[np.ndarray], np.ndarray]:
     factors' dtype goes straight to LAPACK ``getrs``, any other through
     ``lu_solve``.
     """
+    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+
     a = _square(a)
     with warnings.catch_warnings():
         # our own pivot check below supersedes scipy's exact-zero warning

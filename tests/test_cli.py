@@ -1,12 +1,18 @@
+import dataclasses
 import json
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csv_io import assert_floats_round_trip, column, read_table
-from lorenz_vqls.cli import _parse_args, main
+from lorenz_vqls import LorenzParams, State3, VqlsConfig, trajectory
+from lorenz_vqls.cli import _parse_args, _solver_cells, _write_trajectory, fmt, main
+from lorenz_vqls.errors import DivergedAt
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -476,3 +482,58 @@ def test_readme_examples_parse():
     for argv in examples:
         args = _parse_args(argv)
         assert args.out, argv
+
+
+def reference_trajectory_csv(traj, diverged_at):
+    """The trajectory table written one `fmt` cell at a time."""
+    diagnostics = traj.diagnostics is not None
+    lines = ["step,t,x,y,z" + (",cost,iterations,residual" if diagnostics else "")]
+    for n, row in enumerate(traj.states):
+        fields = [str(n), fmt(n * traj.h), fmt(row[0]), fmt(row[1]), fmt(row[2])]
+        if diagnostics:
+            fields += _solver_cells(traj, n)
+        lines.append(",".join(fields))
+    if diverged_at is not None:
+        lines.append(f"# diverged at step {diverged_at}")
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def run_to_table(start, h, steps, solver="direct", vqls_config=None):
+    try:
+        return trajectory(start, LorenzParams(), h, steps, solver, vqls_config), None
+    except DivergedAt as exc:
+        return exc.trajectory, exc.step
+
+
+def assert_writer_matches_reference(path, traj, diverged_at):
+    _write_trajectory(str(path), traj, diverged_at)
+    assert path.read_bytes() == reference_trajectory_csv(traj, diverged_at)
+
+
+edge_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-16, -1e-16, 5e-324, -2.5e-310, 1e11, -1e11]),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_coord, edge_coord, edge_coord, st.sampled_from([1e-3, 5e-3, 0.01, 0.1]))
+def test_trajectory_csv_matches_per_cell_formatting(x, y, z, h):
+    traj, diverged_at = run_to_table(State3(x, y, z), h, 5)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_writer_matches_reference(Path(tmp) / "t.csv", traj, diverged_at)
+
+
+def test_vqls_trajectory_csv_matches_per_cell_formatting(tmp_path):
+    cfg = VqlsConfig(max_iterations=5, seed=0)
+    traj, diverged_at = run_to_table(State3(1.0, -2.0, 4.0), 0.005, 2, "vqls", cfg)
+    assert diverged_at is None and None not in traj.diagnostics
+    # step 1 as the origin shortcut leaves it: no outcome
+    traj = dataclasses.replace(traj, diagnostics=(None, *traj.diagnostics[1:]))
+    assert_writer_matches_reference(tmp_path / "vqls.csv", traj, None)
+
+
+def test_partial_trajectory_csv_matches_per_cell_formatting(tmp_path):
+    traj, diverged_at = run_to_table(State3(1.0, -2.0, 4.0), 0.5, 100, "explicit")
+    assert diverged_at is not None and len(traj) == diverged_at > 1
+    assert_writer_matches_reference(tmp_path / "partial.csv", traj, diverged_at)

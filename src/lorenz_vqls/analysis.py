@@ -38,14 +38,18 @@ class RichardsonEstimate:
         return abs(self.e_x) + abs(self.e_y) + abs(self.e_z)
 
 
+def _relative_errors(wc: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """`relative_error` over the last axis of (..., 3) arrays of states."""
+    d, a = np.abs(wc - wq), np.abs(wc)
+    return (d[..., 0] + d[..., 1] + d[..., 2]) / (1.0 + a[..., 0] + a[..., 1] + a[..., 2])
+
+
 def relative_error(wc: State3, wq: State3) -> float:
     """Summed absolute coordinate difference over 1 + the first state's size.
 
     Not symmetric: the denominator uses `wc` (the reference trajectory).
     """
-    num = abs(wc.x - wq.x) + abs(wc.y - wq.y) + abs(wc.z - wq.z)
-    den = 1.0 + abs(wc.x) + abs(wc.y) + abs(wc.z)
-    return num / den
+    return float(_relative_errors(wc.as_array(), wq.as_array()))
 
 
 def compare_trajectories(classical: Trajectory, quantum: Trajectory) -> ErrorSeries:
@@ -58,10 +62,7 @@ def compare_trajectories(classical: Trajectory, quantum: Trajectory) -> ErrorSer
         raise ValueError("trajectories use different step sizes")
     if not np.array_equal(classical.states[0], quantum.states[0]):
         raise ValueError("trajectories start from different states")
-    pairs = zip(classical.states[1:], quantum.states[1:])
-    return ErrorSeries(
-        np.array([relative_error(State3.from_array(c), State3.from_array(q)) for c, q in pairs])
-    )
+    return ErrorSeries(_relative_errors(classical.states[1:], quantum.states[1:]))
 
 
 def _estimate(common: State3, fine2: State3, coarse: State3, h: float):

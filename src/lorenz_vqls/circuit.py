@@ -28,11 +28,6 @@ def _rotation_blocks(theta: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Closed form of R_Z(gamma) @ R_Y(beta) @ R_Z(alpha)."""
-    return _rotation_blocks(np.array([alpha, beta, gamma], dtype=float))
-
-
 @lru_cache(maxsize=None)
 def _ring_gather(n: int) -> np.ndarray:
     """Gather array applying CNOT(q, (q + 1) mod n) for q = 0..n-1 in turn;

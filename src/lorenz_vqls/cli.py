@@ -69,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 # argparse reports a ValueError from these as "invalid <name> value".
 def _start(text: str) -> tuple[float, ...]:
     values = tuple(map(float, text.split(",")))
@@ -90,7 +86,10 @@ def _step_size(text: str, limit: float = MAX_TIMESTEP) -> float:
 
 def _h_list(text: str) -> tuple[float, ...]:
     # Richardson also steps each point by 2h
-    return tuple(_step_size(p, MAX_TIMESTEP / 2) for p in text.split(","))
+    values = tuple(_step_size(p, MAX_TIMESTEP / 2) for p in text.split(","))
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct step sizes, got {text!r}")
+    return values
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -249,15 +248,21 @@ def _write_lines(path: str, lines) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _solver_cells(traj: Trajectory, n: int) -> list[str]:
+def _rows(template: str, *columns) -> list[str]:
+    """`template % row` for each row across the columns, which go through
+    `.tolist()` first: a Python float formats faster than a numpy scalar."""
+    return [template % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
+def _solver_cells(traj: Trajectory, n: int) -> tuple[str, str, str]:
     """Row n's cost, iterations and residual: blank on row 0 and without
     VQLS outcomes, zeros where the origin shortcut solved nothing."""
     if traj.diagnostics is None or n == 0:
-        return ["", "", ""]
+        return "", "", ""
     out = traj.diagnostics[n - 1]
     if out is None:
-        return ["0", "0", "0"]
-    return [fmt(out.final_cost), str(out.iterations_used), fmt(out.residual)]
+        return "0", "0", "0"
+    return "%.17g" % out.final_cost, str(out.iterations_used), "%.17g" % out.residual
 
 
 def _write_trajectory(path: str, traj: Trajectory, diverged_at: int | None) -> None:
@@ -265,12 +270,11 @@ def _write_trajectory(path: str, traj: Trajectory, diverged_at: int | None) -> N
     that diverged keeps its rows and ends with a marker line."""
     diagnostics = traj.diagnostics is not None
     header = "step,t,x,y,z" + (",cost,iterations,residual" if diagnostics else "")
-    # "%.17g" % x is fmt(x), and row n's time is the double n * h
-    times = (np.arange(len(traj)) * traj.h).tolist()
-    rows = ["%d,%.17g,%.17g,%.17g,%.17g" % (n, t, *state)
-            for n, (t, state) in enumerate(zip(times, traj.states.tolist()))]
+    # row n's time is the double n * h
+    steps = np.arange(len(traj))
+    rows = _rows("%d,%.17g,%.17g,%.17g,%.17g", steps, steps * traj.h, *traj.states.T)
     if diagnostics:
-        rows = [row + "," + ",".join(_solver_cells(traj, n)) for n, row in enumerate(rows)]
+        rows = [row + ",%s,%s,%s" % _solver_cells(traj, n) for n, row in enumerate(rows)]
     lines = [header, *rows]
     if diverged_at is not None:
         lines.append(f"# diverged at step {diverged_at}")
@@ -307,20 +311,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(json.dumps({"command": "compare", "out": out, "diverged_at": exc.step}))
         return EXIT_DIVERGED
     series = compare_trajectories(reference, other)
-    lines = ["step,t,x_c,y_c,z_c,x_q,y_q,z_q,rel_err,cost,residual"]
-    for n in range(len(reference)):
-        c = reference.states[n]
-        q = other.states[n]
-        rel = 0.0 if n == 0 else series.values[n - 1]
-        cost, _, residual = _solver_cells(other, n)
-        fields = [
-            str(n), fmt(n * reference.h),
-            fmt(c[0]), fmt(c[1]), fmt(c[2]),
-            fmt(q[0]), fmt(q[1]), fmt(q[2]),
-            fmt(rel), cost, residual,
-        ]
-        lines.append(",".join(fields))
-    _write_lines(out, lines)
+    steps = np.arange(len(reference))
+    cost, _, residual = zip(*(_solver_cells(other, n) for n in range(len(reference))))
+    rows = _rows(
+        "%d" + ",%.17g" * 8 + ",%s,%s",
+        steps, steps * reference.h, *reference.states.T, *other.states.T,
+        [0.0, *series.values], cost, residual,
+    )
+    _write_lines(out, ["step,t,x_c,y_c,z_c,x_q,y_q,z_q,rel_err,cost,residual", *rows])
     print(json.dumps({
         "command": "compare",
         "mean_rel_err": float(np.mean(series.values)),
@@ -351,16 +349,15 @@ def cmd_richardson(args: argparse.Namespace) -> int:
             )
         except OverflowError:
             # keep the rows of the h values that finished, mark, exit 2
-            lines.append(f"# diverged at h {fmt(h)}")
+            lines.append("# diverged at h %.17g" % h)
             summary["diverged_at_h"] = h
             break
-        for n, est in enumerate(series):
-            lines.append(
-                ",".join(
-                    [str(n), fmt(h), fmt(est.e_x), fmt(est.e_y), fmt(est.e_z), fmt(est.total)]
-                )
-            )
-        means[repr(float(h))] = float(np.mean([est.total for est in series]))
+        table = np.array([(est.e_x, est.e_y, est.e_z, est.total) for est in series])
+        lines += _rows(
+            "%d,%.17g,%.17g,%.17g,%.17g,%.17g",
+            np.arange(len(series)), np.full(len(series), h), *table.T,
+        )
+        means[repr(float(h))] = float(np.mean(table[:, 3]))
     _write_lines(out, lines)
     print(json.dumps(summary))
     return EXIT_DIVERGED if "diverged_at_h" in summary else EXIT_OK
@@ -374,12 +371,12 @@ def cmd_cond_sweep(args: argparse.Namespace) -> int:
         raise CliError("need h-min < h-max")
     if args.count < 1:
         raise CliError("count must be >= 1")
+    if args.threads is not None and args.threads < 1:
+        raise CliError("threads must be >= 1")
     params = _lorenz_params(args)
     grid = np.linspace(h_min, h_max, args.count)
     rows = condition_sweep(params, grid, max_workers=args.threads)
-    lines = ["h,kappa_A,kappa_dilation"]
-    lines += [",".join([fmt(h), fmt(ka), fmt(kd)]) for h, ka, kd in rows]
-    _write_lines(out, lines)
+    _write_lines(out, ["h,kappa_A,kappa_dilation", *_rows("%.17g,%.17g,%.17g", *zip(*rows))])
     print(json.dumps({
         "command": "cond-sweep",
         "max_kappa_A": max(r[1] for r in rows),
@@ -432,9 +429,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         matrix = cost_hamiltonian(matrix, build_rhs(State3(*args.start)))
     total = decompose(matrix)
     _write_lines(out, total.dump().splitlines())
-    error = float(np.max(np.abs(reconstruct(total) - matrix))) if total.terms else float(
-        np.max(np.abs(matrix))
-    )
+    error = float(np.max(np.abs(reconstruct(total) - matrix)))
     print(json.dumps({
         "command": "decompose",
         "source": source,

@@ -18,6 +18,11 @@ from .errors import DimensionMismatch, NotPowerOfTwo, RankDeficient, SingularMat
 PIVOT_RTOL = 1e-14
 RANK_RTOL = 1e-14
 
+# Beyond these magnitudes the squares summed by a plain 2-norm may
+# underflow or overflow.
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+_SQRT_HUGE = float(np.sqrt(np.finfo(float).max))
+
 
 def _square(a) -> np.ndarray:
     a = np.asarray(a)
@@ -39,6 +44,23 @@ def _vector(b, length=None) -> np.ndarray:
     return b
 
 
+def _norm(v) -> float:
+    """2-norm of `v` (Frobenius for a matrix), rescaled by max|v| when the
+    plain sum of squares could underflow or overflow.
+
+    The choice is made from max|v| before any square is taken, so no
+    overflow warning fires, and at every other scale the value is the plain
+    `np.linalg.norm`, bit for bit.
+    """
+    v = np.asarray(v)
+    magnitudes = np.abs(v)
+    peak = float(np.max(magnitudes))
+    if 0.0 < peak < _SQRT_TINY or _SQRT_HUGE / v.size**0.5 < peak < np.inf:
+        # real magnitudes: a complex division by a subnormal peak overflows
+        return peak * float(np.linalg.norm(magnitudes / peak))
+    return float(np.linalg.norm(v))
+
+
 def factor_dense(a) -> Callable[[np.ndarray], np.ndarray]:
     """LU-factor ``a`` with partial pivoting; return ``solve(b)`` for ``a @ w = b``.
 
@@ -54,7 +76,7 @@ def factor_dense(a) -> Callable[[np.ndarray], np.ndarray]:
         # our own pivot check below supersedes scipy's exact-zero warning
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(a, check_finite=False)
-    tol = PIVOT_RTOL * np.linalg.norm(a)
+    tol = PIVOT_RTOL * _norm(a)
     if np.abs(np.diag(lu)).min() <= tol:
         raise SingularMatrix(f"pivot at or below {tol:.3e}")
     getrs, = get_lapack_funcs(("getrs",), (lu,))

@@ -14,16 +14,13 @@ import numpy as np
 from .circuit import AnsatzConfig, ansatz_gradient, run_ansatz
 from .circuit import expectation  # noqa: F401  (bench/spans.py traces this name)
 from .errors import DegenerateImage, NotNormalized, ZeroRightHandSide
-from .linalg import _square, _vector, num_qubits
+from .linalg import _norm, _square, _vector, num_qubits
 from .pauli import decompose  # noqa: F401  (bench/spans.py traces this name)
 
 # Stop launching further restarts once the best final cost is at or
 # below this; restarts exist to escape bad initializations, and a run
 # this converged cannot be improved meaningfully.
 ACCEPT_COST = 1e-7
-
-# Below this 2-norm the sum of squares may have underflowed.
-_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -76,20 +73,6 @@ class VqlsOutcome:
     solution: np.ndarray
     residual: float
     sign: int
-
-
-def _norm(v: np.ndarray) -> float:
-    """2-norm of `v`, rescaled by max|v| when the plain one may have underflowed.
-
-    The rescaling only runs below sqrt(tiny), so the value is unchanged at
-    every scale where the plain norm keeps its digits.
-    """
-    norm = np.linalg.norm(v)
-    if norm < _SQRT_TINY:
-        peak = np.max(np.abs(v))
-        if peak > 0:
-            norm = peak * np.linalg.norm(v / peak)
-    return norm
 
 
 def _unit_rhs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenz_vqls import (
     LorenzParams,
     State3,
+    Trajectory,
     VqlsConfig,
     build_nonlinear_system,
     build_rhs,
@@ -39,6 +42,35 @@ def test_relative_error_uses_first_argument_denominator():
     wc, wq = State3(9, 0, 0), State3(0, 0, 0)
     assert relative_error(wc, wq) == pytest.approx(0.9)
     assert relative_error(wq, wc) == pytest.approx(9.0)
+
+
+def scalar_relative_error(wc, wq):
+    """The per-pair formula in plain floats, the reference for the array one."""
+    num = abs(wc.x - wq.x) + abs(wc.y - wq.y) + abs(wc.z - wq.z)
+    den = 1.0 + abs(wc.x) + abs(wc.y) + abs(wc.z)
+    return num / den
+
+
+component = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2e-308, 1e11, -1e11]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1e11, max_value=1e11),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[component] * 6), min_size=1, max_size=6))
+def test_relative_errors_match_the_scalar_formula_bit_for_bit(pairs):
+    start = [(0.0, 0.0, 0.0)]
+    classical = Trajectory(1e-3, np.array(start + [pair[:3] for pair in pairs]))
+    quantum = Trajectory(1e-3, np.array(start + [pair[3:] for pair in pairs]))
+    values = compare_trajectories(classical, quantum).values
+    assert values.shape == (len(pairs),)
+    for value, pair in zip(values.tolist(), pairs):
+        wc, wq = State3(*pair[:3]), State3(*pair[3:])
+        expected = scalar_relative_error(wc, wq)
+        assert value.hex() == expected.hex()
+        assert relative_error(wc, wq).hex() == expected.hex()
 
 
 def test_compare_trajectory_with_itself():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lorenz_vqls import AnsatzConfig, PauliSum, PauliTerm, expectation, run_ansatz
-from lorenz_vqls.circuit import ansatz_gradient, rotation_matrix
+from lorenz_vqls.circuit import _rotation_blocks, ansatz_gradient
 from lorenz_vqls.errors import DimensionMismatch, ShapeMismatch
 from lorenz_vqls.pauli import pauli_matrix
 
@@ -17,6 +17,11 @@ def rz_matrix(angle):
 def ry_matrix(angle):
     c, s = np.cos(angle / 2), np.sin(angle / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rotation_matrix(alpha, beta, gamma):
+    """The ansatz's closed form of R_Z(gamma) @ R_Y(beta) @ R_Z(alpha)."""
+    return _rotation_blocks(np.array([alpha, beta, gamma], dtype=float))
 
 
 def apply_single_qubit(state, gate, qubit):

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,12 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lorenz_vqls
 from csv_io import assert_floats_round_trip, column, read_table
-from lorenz_vqls import LorenzParams, State3, VqlsConfig, trajectory
-from lorenz_vqls.cli import _parse_args, _solver_cells, _write_trajectory, fmt, main
+from lorenz_vqls import (
+    LorenzParams,
+    State3,
+    VqlsConfig,
+    compare_trajectories,
+    condition_sweep,
+    richardson_series,
+    trajectory,
+)
+from lorenz_vqls.cli import _parse_args, _write_trajectory, main
 from lorenz_vqls.errors import DivergedAt
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(lorenz_vqls.__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *args):
@@ -449,6 +462,10 @@ def test_unwritable_output_exits_one(capsys):
     ["cond-sweep", "--sigma", "1e8", "--h-min", "0.01", "--h-max", "0.1", "--count", "3"],
     ["simulate", "--sigma", "1e10", "--steps", "3"],
     ["simulate", "--solver", "vqls", "--seed", "-1", "--steps", "1"],
+    ["cond-sweep", "--h-min", "0.001", "--h-max", "0.1", "--threads", "0"],
+    ["cond-sweep", "--h-min", "0.001", "--h-max", "0.1", "--threads", "-3"],
+    ["richardson", "--h-list", "0.01,0.01", "--steps", "2"],
+    ["richardson", "--h-list", "0.001,0.002,1e-3", "--steps", "2"],
 ], ids=" ".join)
 def test_bad_inputs_exit_one(tmp_path, capsys, monkeypatch, argv):
     def no_descent(*args, **kwargs):
@@ -484,6 +501,45 @@ def test_readme_examples_parse():
         assert args.out, argv
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--rho", "1e200", "--start", "1,1,1", "--steps", "2"], 1),
+    (["simulate", "--solver", "vqls", "--seed", "0", "--steps", "1", "--start", "1e160,0,0",
+      "--max-iter", "3", "--restarts", "1"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_huge_entries_raise_no_numpy_warning(tmp_path, argv, code):
+    # -W error turns any numpy overflow or invalid-value warning into a crash
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lorenz_vqls.cli", *argv,
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == code
+    if code == 1:
+        assert done.stderr == "lorenz-vqls: error: pivot at or below 5.000e+183\n"
+    else:
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["diverged_at"] == 1
+
+
+def fmt(x):
+    """The reference cell: 17 significant digits round-trip a double."""
+    return f"{float(x):.17g}"
+
+
+def csv_bytes(lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def reference_solver_cells(traj, n):
+    if traj.diagnostics is None or n == 0:
+        return ["", "", ""]
+    out = traj.diagnostics[n - 1]
+    if out is None:
+        return ["0", "0", "0"]
+    return [fmt(out.final_cost), str(out.iterations_used), fmt(out.residual)]
+
+
 def reference_trajectory_csv(traj, diverged_at):
     """The trajectory table written one `fmt` cell at a time."""
     diagnostics = traj.diagnostics is not None
@@ -491,11 +547,11 @@ def reference_trajectory_csv(traj, diverged_at):
     for n, row in enumerate(traj.states):
         fields = [str(n), fmt(n * traj.h), fmt(row[0]), fmt(row[1]), fmt(row[2])]
         if diagnostics:
-            fields += _solver_cells(traj, n)
+            fields += reference_solver_cells(traj, n)
         lines.append(",".join(fields))
     if diverged_at is not None:
         lines.append(f"# diverged at step {diverged_at}")
-    return "".join(line + "\n" for line in lines).encode()
+    return csv_bytes(lines)
 
 
 def run_to_table(start, h, steps, solver="direct", vqls_config=None):
@@ -537,3 +593,86 @@ def test_partial_trajectory_csv_matches_per_cell_formatting(tmp_path):
     traj, diverged_at = run_to_table(State3(1.0, -2.0, 4.0), 0.5, 100, "explicit")
     assert diverged_at is not None and len(traj) == diverged_at > 1
     assert_writer_matches_reference(tmp_path / "partial.csv", traj, diverged_at)
+
+
+def reference_compare_csv(reference, other):
+    """The compare table written one `fmt` cell at a time."""
+    series = compare_trajectories(reference, other)
+    lines = ["step,t,x_c,y_c,z_c,x_q,y_q,z_q,rel_err,cost,residual"]
+    for n in range(len(reference)):
+        rel = 0.0 if n == 0 else series.values[n - 1]
+        cost, _, residual = reference_solver_cells(other, n)
+        lines.append(",".join([
+            str(n), fmt(n * reference.h), *map(fmt, reference.states[n]),
+            *map(fmt, other.states[n]), fmt(rel), cost, residual,
+        ]))
+    return csv_bytes(lines)
+
+
+@pytest.mark.parametrize("argv, drop_first_outcome", [
+    (["--self-compare", "--steps", "60", "--h", "0.001"], False),
+    # step 1 as the origin shortcut leaves it: no outcome
+    (["--steps", "2", "--h", "0.005", "--seed", "0", "--max-iter", "5"], True),
+    (["--self-compare", "--start=1,-0.0,0", "--steps", "8"], False),
+    (["--self-compare", "--start=-0.0,0.0,-0.0", "--steps", "3"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_compare_csv_matches_per_cell_formatting(
+    tmp_path, capsys, monkeypatch, argv, drop_first_outcome
+):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        traj = trajectory(*args, **kwargs)
+        if drop_first_outcome and traj.diagnostics is not None:
+            traj = dataclasses.replace(traj, diagnostics=(None, *traj.diagnostics[1:]))
+        runs.append(traj)
+        return traj
+
+    monkeypatch.setattr("lorenz_vqls.cli.trajectory", recorded)
+    out = tmp_path / "cmp.csv"
+    code, stdout, _ = run_cli(capsys, "compare", *argv, "--out", str(out))
+    assert code == 0 and len(runs) == 2
+    assert out.read_bytes() == reference_compare_csv(*runs)
+    values = compare_trajectories(*runs).values
+    summary = last_json(stdout)
+    assert summary["mean_rel_err"] == float(np.mean(values))
+    assert summary["max_rel_err"] == float(np.max(values))
+
+
+@pytest.mark.parametrize("start, h_list, steps", [
+    ((1.0, -2.0, 4.0), (0.001, 0.0005), 20),
+    ((30.0, -40.0, 10.0), (0.001, 0.25, 0.002), 50),
+])
+def test_richardson_csv_matches_per_cell_formatting(tmp_path, capsys, start, h_list, steps):
+    lines, means = ["step,h,e_x,e_y,e_z,total"], {}
+    for h in h_list:
+        try:
+            series = richardson_series(State3(*start), LorenzParams(), h, steps)
+        except OverflowError:
+            lines.append(f"# diverged at h {fmt(h)}")
+            break
+        for n, est in enumerate(series):
+            cells = [h, est.e_x, est.e_y, est.e_z, est.total]
+            lines.append(",".join([str(n), *map(fmt, cells)]))
+        means[repr(h)] = float(np.mean([est.total for est in series]))
+    out = tmp_path / "rich.csv"
+    code, stdout, _ = run_cli(
+        capsys, "richardson", "--start", ",".join(map(str, start)),
+        "--h-list", ",".join(map(str, h_list)), "--steps", str(steps), "--out", str(out),
+    )
+    assert code == (0 if len(means) == len(h_list) else 2)
+    assert out.read_bytes() == csv_bytes(lines)
+    assert last_json(stdout)["mean_total"] == means
+
+
+@pytest.mark.parametrize("h_min, h_max, count", [(0.001, 0.1, 100), (0.01, 0.1, 1)])
+def test_cond_sweep_csv_matches_per_cell_formatting(tmp_path, capsys, h_min, h_max, count):
+    rows = condition_sweep(LorenzParams(), np.linspace(h_min, h_max, count))
+    out = tmp_path / "cond.csv"
+    code, _, _ = run_cli(
+        capsys, "cond-sweep", "--h-min", str(h_min), "--h-max", str(h_max),
+        "--count", str(count), "--out", str(out),
+    )
+    assert code == 0
+    lines = ["h,kappa_A,kappa_dilation", *(",".join(map(fmt, row)) for row in rows)]
+    assert out.read_bytes() == csv_bytes(lines)

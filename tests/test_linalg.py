@@ -15,7 +15,7 @@ from lorenz_vqls import (
     solve_dense,
 )
 from lorenz_vqls.errors import DimensionMismatch, RankDeficient, SingularMatrix
-from lorenz_vqls.linalg import factor_dense, num_qubits
+from lorenz_vqls.linalg import _norm, factor_dense, num_qubits
 from lorenz_vqls.errors import NotPowerOfTwo
 
 CLASSIC = LorenzParams()
@@ -30,6 +30,24 @@ def test_solve_identity():
 def test_solve_scaling():
     w = solve_dense(2.0 * np.eye(2), np.array([1.0, 0.0]))
     assert np.allclose(w, [0.5, 0.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_solve_matrix_whose_squares_overflow(scale):
+    # the plain Frobenius norm of this kappa = 1 matrix overflows to inf
+    w = solve_dense(np.diag([scale, scale]), np.array([1.0, 2.0]))
+    assert np.array_equal(w, [1.0 / scale, 2.0 / scale])
+
+
+def test_norm_is_the_plain_norm_at_safe_scales_and_rescaled_beyond():
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    m = rng.normal(size=(8, 8))
+    for x in (v, m, 1e-150 * v, 1e150 * m, np.zeros(3)):
+        assert _norm(x) == np.linalg.norm(x)
+    for scale in (1e-170, 1e-300, 5e-320, 1e160, 1e300):
+        assert _norm(scale * v) == pytest.approx(scale * np.linalg.norm(v), rel=1e-14)
+        assert _norm(scale * m) == pytest.approx(scale * np.linalg.norm(m), rel=1e-14)
 
 
 def test_solve_lorenz_step_matches_hand_arithmetic():

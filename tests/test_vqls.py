@@ -104,6 +104,12 @@ def test_build_problem_normalizes_a_rhs_whose_squares_underflow():
     assert np.allclose(tiny.b_unit, build_problem(a, b).b_unit, rtol=1e-15, atol=0)
 
 
+def test_build_problem_normalizes_a_rhs_whose_squares_overflow():
+    b = 1e160 * E1
+    problem = build_problem(build_nonlinear_system(CLASSIC, 5e-3), b)
+    assert np.array_equal(problem.b_unit, E1)
+
+
 def test_build_problem_rejects_bad_dimension():
     with pytest.raises(NotPowerOfTwo):
         build_problem(np.eye(6), np.ones(6))

@@ -65,16 +65,15 @@ def compare_trajectories(classical: Trajectory, quantum: Trajectory) -> ErrorSer
     return ErrorSeries(_relative_errors(classical.states[1:], quantum.states[1:]))
 
 
-def _estimate(common: State3, fine2: State3, coarse: State3, h: float):
+def _estimate(common, fine2, coarse, h: float) -> RichardsonEstimate:
     # Gradients over the shared 2h span.  A single step from the common point
     # would reproduce the instantaneous derivative exactly and make the
     # estimate identically zero; pairing two h-steps against one 2h-step
     # exposes the leading O(h) truncation term instead.
-    s0 = common.as_array()
-    grad_fine = (fine2.as_array() - s0) / (2 * h)
-    grad_coarse = (coarse.as_array() - s0) / (2 * h)
-    e = grad_coarse - grad_fine
-    return RichardsonEstimate(float(e[0]), float(e[1]), float(e[2]))
+    span = 2 * float(h)
+    return RichardsonEstimate(
+        *((c - s0) / span - (f - s0) / span for s0, f, c in zip(common, fine2, coarse))
+    )
 
 
 def richardson(
@@ -110,9 +109,9 @@ def richardson_series(
     fine = march(start, params, h, steps + 1, solver, vqls_config, warm_start)
     coarse_step = _stepper(params, 2 * h, solver, vqls_config)
     theta_init, fine1, _ = next(fine)
-    point, estimates = start, []
+    point, estimates = (start.x, start.y, start.z), []
     for next_init, fine2, _ in fine:
-        coarse, _ = coarse_step(point, theta_init)
+        *coarse, _ = coarse_step(*point, theta_init)
         estimates.append(_estimate(point, fine2, coarse, h))
         point, fine1, theta_init = fine1, fine2, next_init
     return estimates

@@ -109,8 +109,10 @@ def hermitian_dilation(a) -> np.ndarray:
     """Embed ``a`` into the Hermitian block matrix [[0, a], [a^H, 0]]."""
     a = _square(a)
     n = a.shape[0]
-    zero = np.zeros((n, n), dtype=a.dtype)
-    return np.block([[zero, a], [a.conj().T, zero]])
+    out = np.zeros((2 * n, 2 * n), dtype=a.dtype)
+    out[:n, n:] = a
+    out[n:, :n] = a.conj().T
+    return out
 
 
 def num_qubits(dim: int) -> int:

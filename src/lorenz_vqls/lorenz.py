@@ -10,7 +10,9 @@ The system matrix is A = I + N with N @ N == 0 exactly: N's nonzero columns
 equals explicit Euler in exact arithmetic; in floating point the two agree to
 about 1e-10.  The direct solver still LU-factors A, because the paper's
 classical baseline is a linear solve.  The matrix depends only on (params, h),
-so a run factors it once and each step costs one LAPACK getrs call.
+so a run factors it once and each step costs one LAPACK getrs call.  Steps
+run on plain floats; `State3` is built only by the public `step_solve` and
+`step_explicit`.
 """
 from __future__ import annotations
 
@@ -138,61 +140,70 @@ def build_rhs(state: State3) -> np.ndarray:
     return np.array([x, y, z, 0.0, 0.0, 0.0, x * z, x * y])
 
 
-def _guarded(x: float, y: float, z: float) -> State3:
+def _guarded(x: float, y: float, z: float, outcome=None):
+    """(x, y, z, outcome), once every coordinate is within the overflow guard."""
     # written so that NaN, which fails every comparison, is rejected too
     if not (abs(x) <= OVERFLOW_LIMIT and abs(y) <= OVERFLOW_LIMIT and abs(z) <= OVERFLOW_LIMIT):
         raise OverflowError(f"state magnitude exceeded {OVERFLOW_LIMIT:g}")
-    return State3(x, y, z)
+    return x, y, z, outcome
 
 
 def step_explicit(state: State3, params: LorenzParams, h: float) -> State3:
     """One forward-Euler step, all three updates evaluated from `state`."""
-    h = _check_h(h)
-    s, r, b = params.sigma, params.rho, params.beta
-    x, y, z = state.x, state.y, state.z
-    return _guarded(
-        x + h * s * (y - x),
-        y + h * (x * (r - z) - y),
-        z + h * (x * y - b * z),
-    )
+    x, y, z, _ = _stepper(params, h, "explicit", None)(state.x, state.y, state.z, None)
+    return State3(x, y, z)
 
 
 def _stepper(
     params: LorenzParams, h: float, solver: str, vqls_config: VqlsConfig | None
-) -> Callable[..., tuple[State3, VqlsOutcome | None]]:
-    """`step_solve` for fixed (params, h, solver): step(state, theta_init).
+) -> Callable[..., tuple[float, float, float, VqlsOutcome | None]]:
+    """`step_solve` for fixed (params, h, solver) on plain floats:
+    step(x, y, z, theta_init) -> (x, y, z, outcome).
 
     The 8x8 matrix, and for "direct" its LU factors, are made on the first
     step that leaves the origin and reused by every later step, so a run
     that never leaves the origin never factors a matrix that may be singular.
+    Each step writes its right-hand side into one buffer that lives as long
+    as the stepper: `solve` leaves its argument alone, and a VQLS problem,
+    which keeps its `b`, gets a copy.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r} (expected one of {SOLVERS})")
-    if solver == "explicit":
-        return lambda state, theta_init: (step_explicit(state, params, h), None)
     h = _check_h(h)
+    if solver == "explicit":
+        s, r, b = params.sigma, params.rho, params.beta
+
+        def explicit(x, y, z, theta_init):
+            return _guarded(
+                x + h * s * (y - x),
+                y + h * (x * (r - z) - y),
+                z + h * (x * y - b * z),
+            )
+
+        return explicit
     config = vqls_config or VqlsConfig()
+    rhs = np.zeros(8)
     matrix = solve = None
 
-    def step(state: State3, theta_init) -> tuple[State3, VqlsOutcome | None]:
+    def step(x, y, z, theta_init):
         nonlocal matrix, solve
-        if state.x == 0.0 and state.y == 0.0 and state.z == 0.0:
-            return state, None
-        rhs = build_rhs(state)
+        if x == 0.0 and y == 0.0 and z == 0.0:
+            return x, y, z, None
+        xz, xy = x * z, x * y
         # the state is finite, so only the products x*z and x*y can overflow
-        if not (math.isfinite(rhs[6]) and math.isfinite(rhs[7])):
+        if not (math.isfinite(xz) and math.isfinite(xy)):
             raise OverflowError("right-hand side product x*z or x*y overflowed")
+        rhs[0], rhs[1], rhs[2], rhs[6], rhs[7] = x, y, z, xz, xy
         if matrix is None:
             matrix = build_nonlinear_system(params, h)
         if solver == "direct":
             if solve is None:
                 solve = factor_dense(matrix)
-            w, outcome = solve(rhs), None
-        else:
-            outcome = optimize(build_problem(matrix, rhs), config, theta_init=theta_init)
-            w = outcome.solution
-        x, y, z = np.real(w[3:6]).tolist()
-        return _guarded(x, y, z), outcome
+            x, y, z = solve(rhs).tolist()[3:6]
+            return _guarded(x, y, z)
+        outcome = optimize(build_problem(matrix, rhs.copy()), config, theta_init=theta_init)
+        x, y, z = np.real(outcome.solution[3:6]).tolist()
+        return _guarded(x, y, z, outcome)
 
     return step
 
@@ -213,7 +224,11 @@ def step_solve(
     the VQLS outcome (None otherwise).  A step past the overflow guard, or
     whose right-hand side overflows, raises OverflowError.
     """
-    return _stepper(params, h, solver, vqls_config)(state, theta_init)
+    step = _stepper(params, h, solver, vqls_config)
+    if solver != "explicit" and state.x == 0.0 and state.y == 0.0 and state.z == 0.0:
+        return state, None  # the origin shortcut hands back the very state given
+    x, y, z, outcome = step(state.x, state.y, state.z, theta_init)
+    return State3(x, y, z), outcome
 
 
 def march(
@@ -224,18 +239,18 @@ def march(
     solver: str = "direct",
     vqls_config: VqlsConfig | None = None,
     warm_start: bool = True,
-) -> Iterator[tuple[np.ndarray | None, State3, VqlsOutcome | None]]:
-    """Yield (theta_init, next state, outcome) for each of `steps` steps.
+) -> Iterator[tuple[np.ndarray | None, tuple[float, float, float], VqlsOutcome | None]]:
+    """Yield (theta_init, next (x, y, z), outcome) for each of `steps` steps.
 
     `theta_init` is what the step's restart 0 started from: with
     `warm_start`, the optimized angles of the latest variational solve,
     otherwise None.  A step past the overflow guard raises OverflowError.
     """
     step = _stepper(params, h, solver, vqls_config)
-    theta, state = None, start
+    theta, x, y, z = None, start.x, start.y, start.z
     for _ in range(steps):
-        state, outcome = step(state, theta)
-        yield theta, state, outcome
+        x, y, z, outcome = step(x, y, z, theta)
+        yield theta, (x, y, z), outcome
         if warm_start and outcome is not None:
             theta = outcome.theta_opt
 
@@ -260,7 +275,7 @@ def trajectory(
     states, diagnostics, diverged = [(start.x, start.y, start.z)], [], False
     try:
         for _, state, out in march(start, params, h, steps, solver, vqls_config, warm_start):
-            states.append((state.x, state.y, state.z))
+            states.append(state)
             diagnostics.append(out)
     except OverflowError:
         diverged = True

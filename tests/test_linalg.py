@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import lu_factor, lu_solve
 
 from lorenz_vqls import (
@@ -106,6 +107,17 @@ def test_factor_dense_matches_lu_solve_bit_for_bit():
     assert factor_dense(c)(b).tobytes() == lu_solve(lu_factor(c), b).tobytes()
 
 
+def test_factor_dense_solve_leaves_its_argument_unchanged():
+    # the stepper writes each step's right-hand side into one reused buffer
+    rng = np.random.default_rng(7)
+    solve = factor_dense(build_nonlinear_system(CLASSIC, 5e-3))
+    for b in (rng.normal(size=8), rng.normal(size=8) + 1j * rng.normal(size=8)):
+        before = b.copy()
+        w = solve(b)
+        assert b.tobytes() == before.tobytes()
+        assert w is not b and not np.shares_memory(w, b)
+
+
 def test_factor_dense_checks_the_matrix():
     with pytest.raises(SingularMatrix):
         factor_dense(np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -163,6 +175,32 @@ def test_dilation_identity_blocks():
     expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1.0
     assert np.array_equal(out, expected)
     assert np.allclose(np.sort(np.linalg.eigvalsh(out)), [-1, -1, 1, 1], atol=1e-14)
+
+
+def _block_dilation(a) -> np.ndarray:
+    """The dilation as one np.block of the four n x n blocks."""
+    a = np.asarray(a)
+    zero = np.zeros_like(a)
+    return np.block([[zero, a], [a.conj().T, zero]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([np.float64, np.complex128]).flatmap(lambda dtype: arrays(
+        dtype, st.integers(1, 9).map(lambda n: (n, n)),
+        elements={"allow_nan": False, "allow_infinity": False},
+    ))
+)
+def test_dilation_matches_block_reference_bytes(a):
+    out, expected = hermitian_dilation(a), _block_dilation(a)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_dilation_of_lorenz_matrix_matches_block_reference_bytes():
+    # the matrix condition sweeps dilate
+    a = build_nonlinear_system(CLASSIC, 0.01)
+    assert hermitian_dilation(a).tobytes() == _block_dilation(a).tobytes()
 
 
 def test_dilation_is_exactly_hermitian():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorenz_vqls import (
@@ -19,6 +19,7 @@ from lorenz_vqls import (
     trajectory,
 )
 from lorenz_vqls.errors import DivergedAt
+import lorenz_vqls.lorenz as lorenz_module
 from lorenz_vqls.lorenz import _stepper, march
 
 CLASSIC = LorenzParams()
@@ -37,6 +38,13 @@ def random_params(rng) -> LorenzParams:
 def reference_step(state: State3, params: LorenzParams, h: float) -> np.ndarray:
     """The next state as a fresh build, check and LU solve of the 8x8 system."""
     return solve_dense(build_nonlinear_system(params, h), build_rhs(state))[3:6]
+
+
+def reference_explicit(state: State3, params: LorenzParams, h: float) -> np.ndarray:
+    """The forward-Euler update, written out once more."""
+    s, r, b = params.sigma, params.rho, params.beta
+    x, y, z = state.x, state.y, state.z
+    return np.array([x + h * s * (y - x), y + h * (x * (r - z) - y), z + h * (x * y - b * z)])
 
 
 def test_linear_step_zero_h_is_identity():
@@ -188,15 +196,95 @@ def test_direct_stepper_matches_solve_dense_bit_for_bit():
         h = 0.25 * (1.0 - float(rng.random()))  # (0, 0.25]
         step = _stepper(params, h, "direct", None)
         for _ in range(5):
-            s = State3.from_array(rng.uniform(-25, 25, size=3))
-            stepped, outcome = step(s, None)
+            x, y, z = rng.uniform(-25, 25, size=3).tolist()
+            *stepped, outcome = step(x, y, z, None)
             assert outcome is None
-            assert stepped.as_array().tobytes() == reference_step(s, params, h).tobytes()
+            assert all(type(v) is float for v in stepped)
+            expected = reference_step(State3(x, y, z), params, h)
+            assert np.array(stepped).tobytes() == expected.tobytes()
         state = State3.from_array(rng.uniform(-25, 25, size=3))
         for _, stepped, _ in march(state, params, h, 3):
             expected = reference_step(state, params, h)
-            assert stepped.as_array().tobytes() == expected.tobytes()
-            state = stepped
+            assert np.array(stepped).tobytes() == expected.tobytes()
+            state = State3(*stepped)
+
+
+def test_explicit_stepper_matches_euler_update_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        params = random_params(rng)
+        h = 0.25 * (1.0 - float(rng.random()))  # (0, 0.25]
+        step = _stepper(params, h, "explicit", None)
+        for _ in range(5):
+            x, y, z = rng.uniform(-25, 25, size=3).tolist()
+            *stepped, outcome = step(x, y, z, None)
+            assert outcome is None
+            expected = reference_explicit(State3(x, y, z), params, h)
+            assert np.array(stepped).tobytes() == expected.tobytes()
+
+
+def _chained_step_solve(start: State3, params, h, steps, solver):
+    """Rows of up to `steps` public step_solve calls, and, if one overflowed,
+    the row count before it (what DivergedAt.step reports)."""
+    rows, state = [start.as_array()], start
+    for _ in range(steps):
+        try:
+            state, _ = step_solve(state, params, h, solver)
+        except OverflowError:
+            return np.array(rows), len(rows)
+        rows.append(state.as_array())
+    return np.array(rows), None
+
+
+edge_coord = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e11, -1e11]) | finite_coord
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["explicit", "direct"]),
+    st.floats(0.1, 20.0), st.floats(-5.0, 40.0), st.floats(0.1, 5.0),
+    st.floats(0.0, 0.25, exclude_min=True),
+    edge_coord, edge_coord, edge_coord,
+    st.integers(1, 30),
+)
+@example("explicit", 10.0, 28.0, 8 / 3, 0.25, 30.0, -40.0, 10.0, 20)
+@example("direct", 10.0, 28.0, 8 / 3, 0.25, 30.0, -40.0, 10.0, 20)
+def test_trajectory_matches_chained_step_solve(solver, sigma, rho, beta, h, x, y, z, steps):
+    # the float stepper against one public, State3-building call per step,
+    # including a start that diverges (the examples do after four steps)
+    params, start = LorenzParams(sigma, rho, beta), State3(x, y, z)
+    expected, diverged_at = _chained_step_solve(start, params, h, steps, solver)
+    try:
+        got, step = trajectory(start, params, h, steps, solver).states, None
+    except DivergedAt as exc:
+        got, step = exc.trajectory.states, exc.step
+    assert step == diverged_at
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_vqls_stepper_matches_fresh_step_solve_calls(monkeypatch):
+    # the stepper's reused right-hand-side buffer must not reach a problem:
+    # every VqlsProblem keeps the b it was built from
+    problems, build = [], lorenz_module.build_problem
+
+    def keep(a, b):
+        problems.append(build(a, b))
+        return problems[-1]
+
+    monkeypatch.setattr(lorenz_module, "build_problem", keep)
+    fast = VqlsConfig(max_iterations=3, restarts=1, layer_count=1, seed=0)
+    step = _stepper(CLASSIC, 5e-3, "vqls", fast)
+    state, theta = State3(1.0, -2.0, 4.0), None
+    x, y, z = state.x, state.y, state.z
+    for _ in range(2):
+        x, y, z, outcome = step(x, y, z, theta)
+        fresh, fresh_outcome = step_solve(state, CLASSIC, 5e-3, "vqls", fast, theta)
+        assert np.array([x, y, z]).tobytes() == fresh.as_array().tobytes()
+        assert outcome.theta_opt.tobytes() == fresh_outcome.theta_opt.tobytes()
+        assert outcome.final_cost == fresh_outcome.final_cost
+        state, theta = fresh, outcome.theta_opt
+    # the stepper's first problem, read after its second step
+    assert np.array_equal(problems[0].b, build_rhs(State3(1.0, -2.0, 4.0)))
 
 
 def test_step_solve_origin_shortcut():
